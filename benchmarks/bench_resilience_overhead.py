@@ -38,11 +38,8 @@ import sys
 from conftest import print_table, run_with_manifest
 
 from repro.circuits import registered_alu74181
-from repro.faultsim.sharded import (
-    SEQUENTIAL_ENGINE,
-    ShardedFaultSimulator,
-    fork_available,
-)
+from repro.exec import ForkBackend
+from repro.faultsim.sharded import SEQUENTIAL_ENGINE, ShardedFaultSimulator
 from repro.resilience import ChaosConfig, RetryPolicy, SupervisionPolicy
 from repro.scan import insert_scan, sample_fault_list, schedule_scan_tests
 from repro.atpg import generate_tests
@@ -96,7 +93,7 @@ def main(argv=None):
     parser.add_argument("--quick", action="store_true")
     args = parser.parse_args(argv)
 
-    if not fork_available():
+    if not ForkBackend.available():
         print("fork unavailable on this platform; nothing to supervise")
         return
 

@@ -330,8 +330,6 @@ def generate_tests(
                     )
                     final_report = simulator.run(patterns)
 
-    if sharded is not None:
-        sharded.close()
     manifest = telemetry.RunManifest(
         flow="atpg.generate_tests",
         circuit=circuit.name,

@@ -1,35 +1,30 @@
 """Pluggable execution backends: inline, fork, spawn, thread-lane.
 
 One interface, :class:`ExecutorBackend`, behind every way this repo
-runs units of work in parallel — so the sharded fault simulator, the
-campaign runner, and the service's execution lanes stop hard-coding a
-fork pool and a platform without ``fork`` stops silently degrading to
-in-process execution.
+runs units of work in parallel — so the sharded fault simulator and
+the service's execution lanes stop hard-coding a fork pool and a
+platform without ``fork`` stops silently degrading to in-process
+execution.
 
 The contract every backend implements:
 
 * ``map(task_fn, payload, tasks, workers=, policy=)`` — run
   ``task_fn(payload, task, attempt)`` for every task, at most
   ``workers`` at a time, retrying failed attempts per
-  ``policy.retry`` with the supervisor's jittered backoff and
-  enforcing ``policy.timeout_s`` as a per-attempt deadline where the
-  backend can (see the matrix below).  Returns a
-  :class:`~repro.resilience.SupervisionOutcome` — the same shape
-  :func:`repro.resilience.supervise` produces — so callers keep one
-  failure-handling path regardless of backend.
-* ``submit(task_fn, payload, task, policy=)`` — the same execution as
-  a one-task ``map``, started in the background; returns a
-  :class:`TaskHandle` with ``result(timeout)`` / ``cancel()``.
+  ``policy.retry`` with its jittered backoff and enforcing
+  ``policy.timeout_s`` as a per-attempt deadline where the backend can
+  (see the matrix below).  Returns a
+  :class:`~repro.resilience.SupervisionOutcome`; every failed attempt
+  is classified ``crash`` / ``hang`` / ``exception`` and settled by
+  one function, so callers keep one failure-handling path regardless
+  of backend.
 * **State shipping** — ``payload`` is how per-run state (circuit,
   patterns, fault shards) reaches the workers.  ``inline`` and
-  ``thread-lane`` pass it by reference; ``fork`` ships it by fork
-  inheritance (never pickled); ``spawn`` pickles ``(task_fn,
-  payload)`` once per map, addresses the blob by its SHA-256 content
-  key, and ships it to each persistent worker at most once — a worker
-  that already holds the key runs tasks without re-shipping (the same
-  content-address idea as the result store's ``cache_key``).  Under
-  ``spawn``, ``task_fn`` must be a module-level importable callable
-  and ``payload`` must pickle.
+  ``thread-lane`` pass it by reference.  ``fork`` and ``spawn`` hand
+  ``(task_fn, payload)`` to each worker process as it starts: ``fork``
+  by inheritance (never pickled, so closures work), ``spawn`` pickled
+  once per worker (so ``task_fn`` must be a module-level importable
+  callable and ``payload`` must pickle).
 * **Telemetry fold-back** — work that runs outside the caller's
   :func:`repro.telemetry.capture` context (another process *or*
   another thread: capture state is a :class:`contextvars.ContextVar`
@@ -47,29 +42,33 @@ Capability matrix:
 backend       isolated   deadlines    replays_counters    best for
 ============  =========  ===========  ==================  ===============
 inline        no         no           no                  workers=1, debugging
-fork          yes        kill child   yes                 CPU-bound, POSIX
+fork          yes        kill worker  yes                 CPU-bound, POSIX
 spawn         yes        kill worker  yes                 CPU-bound, any platform
 thread-lane   no         abandon      yes                 store-hit / I/O-bound
 ============  =========  ===========  ==================  ===============
 
-``isolated`` backends run tasks in a child process, so a crashing or
+``fork`` and ``spawn`` share one supervised process pool and differ
+only in the start method.  Each ``map`` starts at most ``workers``
+worker processes and feeds them one task at a time over a pipe.  A
+worker whose pipe reads EOF has crashed; one past its deadline is
+terminated (then killed) as hung; either is replaced by a fresh
+worker if tasks remain.  A worker with nothing left to run exits at
+once, and ``map`` never returns with a worker alive — so a crashing or
 hanging task cannot take the caller down (and the chaos harness may
 inject real ``os._exit`` crashes there).  ``thread-lane`` cannot kill
 a running thread: a task past its deadline is *abandoned* (it may
-still run to completion into the void) and retried per policy — fine
-for the I/O-bound service work it exists for, wrong for tasks with
-side effects that must not run twice.
+still run to completion into the void, and ``map`` does not wait for
+it) and retried per policy — fine for the I/O-bound service work it
+exists for, wrong for tasks with side effects that must not run twice.
 """
 
 from __future__ import annotations
 
-import hashlib
-import pickle
-import threading
+import multiprocessing
+import os
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor
 from concurrent.futures import wait as _futures_wait
-import multiprocessing
 from multiprocessing import connection
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -83,7 +82,6 @@ from ..resilience.supervisor import (
     SupervisionOutcome,
     SupervisionPolicy,
     TaskFailure,
-    supervise,
 )
 
 __all__ = [
@@ -93,12 +91,8 @@ __all__ = [
     "ForkBackend",
     "SpawnBackend",
     "ThreadLaneBackend",
-    "TaskHandle",
-    "ExecTaskError",
-    "ExecCancelledError",
     "create_backend",
     "auto_backend",
-    "backend_name",
 ]
 
 #: Canonical backend names, in auto-selection preference order for
@@ -107,21 +101,6 @@ BACKENDS = ("fork", "spawn", "inline", "thread-lane")
 
 #: ``task_fn(payload, task, attempt) -> result``
 TaskFn = Callable[[Any, Any, int], Any]
-
-
-class ExecTaskError(Exception):
-    """A submitted task exhausted its retries; carries the failure."""
-
-    def __init__(self, failure: TaskFailure) -> None:
-        super().__init__(
-            f"task {failure.task!r} failed after {failure.attempts} "
-            f"attempt(s): {failure.error}: {failure.message}"
-        )
-        self.failure = failure
-
-
-class ExecCancelledError(Exception):
-    """A submitted task was cancelled before it started."""
 
 
 def _settle_failure(
@@ -137,9 +116,9 @@ def _settle_failure(
 ) -> None:
     """One failed attempt: count it, then retry or fail the task.
 
-    Mirrors the fork supervisor's ``settle`` exactly — same telemetry
-    counters, same event rows, same :class:`TaskFailure` shape — so
-    every backend's failures look identical to callers.
+    Every backend settles every failed attempt here, so failures look
+    identical to callers: the same ``resilience.*`` counters, event
+    rows and :class:`~repro.resilience.TaskFailure` shape.
     """
     telemetry.incr(f"resilience.worker_{kind}")
     retry = policy.retry
@@ -161,58 +140,6 @@ def _settle_failure(
             task=task, kind=kind, error=error, message=message,
             digest=digest, attempts=attempt + 1,
         )
-
-
-class TaskHandle:
-    """One background task started by :meth:`ExecutorBackend.submit`."""
-
-    def __init__(self, task: Any) -> None:
-        self.task = task
-        self._finished = threading.Event()
-        self._cancel = threading.Event()
-        self._state: Tuple[str, Any] = ("pending", None)
-
-    def cancel(self) -> bool:
-        """Request cancellation; True if the task had not finished.
-
-        Guaranteed to take effect only before the task starts; a task
-        already running on an isolated backend finishes in its worker
-        and the result is discarded.
-        """
-        if self._finished.is_set():
-            return False
-        self._cancel.set()
-        return True
-
-    def done(self) -> bool:
-        """Has the task finished (ok, failed, or cancelled)?"""
-        return self._finished.is_set()
-
-    def cancelled(self) -> bool:
-        """Did the task end by cancellation?"""
-        return self._finished.is_set() and self._state[0] == "cancelled"
-
-    def result(self, timeout: Optional[float] = None) -> Any:
-        """Block for the result; raise what the task ended with.
-
-        :class:`ExecTaskError` for a task that exhausted retries,
-        :class:`ExecCancelledError` for a cancelled one,
-        :class:`TimeoutError` if it is still running after ``timeout``.
-        """
-        if not self._finished.wait(timeout):
-            raise TimeoutError(
-                f"task {self.task!r} still running after {timeout}s"
-            )
-        state, value = self._state
-        if state == "ok":
-            return value
-        if state == "cancelled":
-            raise ExecCancelledError(f"task {self.task!r} was cancelled")
-        raise ExecTaskError(value)
-
-    def _finish(self, state: str, value: Any) -> None:
-        self._state = (state, value)
-        self._finished.set()
 
 
 class ExecutorBackend:
@@ -244,56 +171,6 @@ class ExecutorBackend:
     ) -> SupervisionOutcome:
         """Run every task, supervised; see the module contract."""
         raise NotImplementedError
-
-    def submit(
-        self,
-        task_fn: TaskFn,
-        payload: Any,
-        task: Any,
-        *,
-        policy: Optional[SupervisionPolicy] = None,
-    ) -> TaskHandle:
-        """Start one task in the background; returns its handle."""
-        handle = TaskHandle(task)
-
-        def run() -> None:
-            if handle._cancel.is_set():
-                handle._finish("cancelled", None)
-                return
-            try:
-                outcome = self.map(
-                    task_fn, payload, [task], workers=1, policy=policy
-                )
-            except Exception as exc:  # defensive: map never raises today
-                handle._finish(
-                    "failed",
-                    TaskFailure(
-                        task=task, kind=EXCEPTION, error=type(exc).__name__,
-                        message=str(exc), digest=traceback_digest(exc),
-                        attempts=1,
-                    ),
-                )
-                return
-            if task in outcome.results:
-                handle._finish("ok", outcome.results[task])
-            else:
-                handle._finish("failed", outcome.failed[task])
-
-        thread = threading.Thread(
-            target=run, daemon=True,
-            name=f"repro-exec-{self.name}-submit",
-        )
-        thread.start()
-        return handle
-
-    def close(self) -> None:
-        """Release any persistent workers (idempotent)."""
-
-    def __enter__(self) -> "ExecutorBackend":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
 
 class InlineBackend(ExecutorBackend):
@@ -334,13 +211,160 @@ class InlineBackend(ExecutorBackend):
         return outcome
 
 
-class ForkBackend(ExecutorBackend):
-    """The extracted fork pool: one forked child per task attempt.
+# ----------------------------------------------------------------------
+# The supervised process pool behind ``fork`` and ``spawn``
+# ----------------------------------------------------------------------
+def _worker_main(conn: Any, task_fn: TaskFn, payload: Any) -> None:
+    """Worker-process loop: run each ``(task, attempt)`` received.
 
-    Delegates to :func:`repro.resilience.supervise` — state reaches
-    children by fork inheritance (never pickled), crashes and hangs
-    are detected on the result pipe, hung children are killed.  POSIX
-    only.
+    Replies ``(OK, result)`` or ``(EXCEPTION, error, message, digest)``
+    — the traceback itself never needs to pickle.  ``None`` or EOF on
+    the pipe ends the loop; ``os._exit`` keeps a forked worker from
+    flushing inherited stdio buffers or running the parent's atexit
+    hooks twice.
+    """
+    telemetry.reset_in_child()
+    try:
+        for task, attempt in iter(conn.recv, None):
+            try:
+                reply = (OK, task_fn(payload, task, attempt))
+            except BaseException as exc:  # noqa: BLE001 — must travel back
+                reply = (EXCEPTION, type(exc).__name__, str(exc),
+                         traceback_digest(exc))
+            conn.send(reply)
+    finally:
+        os._exit(0)
+
+
+class _Worker:
+    """One pool process, its pipe, and the attempt it is running."""
+
+    __slots__ = ("process", "conn", "task", "attempt", "deadline")
+
+    def __init__(self, process: Any, conn: Any) -> None:
+        self.process = process
+        self.conn = conn
+        self.task: Any = None
+        self.attempt = 0
+        self.deadline: Optional[float] = None
+
+
+def _reap(worker: _Worker, grace_s: float, kill: bool) -> None:
+    """Join a worker, terminating it first when ``kill``.
+
+    A worker still alive after ``grace_s`` is killed outright.
+    """
+    process = worker.process
+    if kill:
+        process.terminate()
+    process.join(grace_s)
+    if process.is_alive():
+        process.kill()
+        process.join()
+    worker.conn.close()
+
+
+def _process_map(
+    method: str,
+    task_fn: TaskFn,
+    payload: Any,
+    tasks: Iterable[Any],
+    workers: int,
+    policy: Optional[SupervisionPolicy],
+) -> SupervisionOutcome:
+    """The supervised pool: ``map`` for the ``fork``/``spawn`` backends."""
+    policy = policy or SupervisionPolicy()
+    outcome = SupervisionOutcome(results={}, failed={})
+    pending: List[Tuple[Any, int]] = [(task, 0) for task in tasks]
+    context = multiprocessing.get_context(method)
+    cap = max(1, workers)
+    started: List[_Worker] = []
+    stopped: List[_Worker] = []
+    idle: List[_Worker] = []
+    busy: Dict[Any, _Worker] = {}
+
+    def start() -> _Worker:
+        parent_conn, child_conn = context.Pipe()
+        process = context.Process(
+            target=_worker_main, args=(child_conn, task_fn, payload),
+            daemon=True,
+        )
+        process.start()
+        child_conn.close()
+        started.append(_Worker(process, parent_conn))
+        return started[-1]
+
+    try:
+        while pending or busy:
+            while pending and len(busy) < cap:
+                worker = idle.pop() if idle else start()
+                worker.task, worker.attempt = pending.pop(0)
+                worker.deadline = (
+                    time.monotonic() + policy.timeout_s
+                    if policy.timeout_s is not None
+                    else None
+                )
+                try:
+                    worker.conn.send((worker.task, worker.attempt))
+                except OSError:
+                    pass  # died idle: its pipe reads EOF below, a crash
+                busy[worker.conn] = worker
+            ready = connection.wait(list(busy), timeout=policy.poll_interval_s)
+            now = time.monotonic()
+            for conn, worker in list(busy.items()):
+                if conn in ready:
+                    del busy[conn]
+                    try:
+                        reply = conn.recv()
+                    except (EOFError, OSError):
+                        _reap(worker, policy.term_grace_s, kill=False)
+                        _settle_failure(
+                            outcome, policy, pending, worker.task,
+                            worker.attempt, CRASH, "WorkerCrash",
+                            f"worker exited with code "
+                            f"{worker.process.exitcode} before returning "
+                            f"a result", "",
+                        )
+                        continue
+                    idle.append(worker)
+                    if reply[0] == OK:
+                        outcome.results[worker.task] = reply[1]
+                    else:
+                        _settle_failure(
+                            outcome, policy, pending, worker.task,
+                            worker.attempt, EXCEPTION, *reply[1:],
+                        )
+                elif worker.deadline is not None and now >= worker.deadline:
+                    del busy[conn]
+                    _reap(worker, policy.term_grace_s, kill=True)
+                    _settle_failure(
+                        outcome, policy, pending, worker.task,
+                        worker.attempt, HANG, "WorkerHang",
+                        f"no result within {policy.timeout_s}s "
+                        f"(worker terminated)", "",
+                    )
+            if not pending:
+                # Nothing left to hand out: idle workers exit at once.
+                for worker in idle:
+                    try:
+                        worker.conn.send(None)
+                    except OSError:
+                        pass
+                stopped.extend(idle)
+                idle.clear()
+    finally:
+        # Never return with a worker alive: stopped workers are joined,
+        # any other is killed (a no-op for crashed and hung ones).
+        for worker in started:
+            _reap(worker, policy.term_grace_s, kill=worker not in stopped)
+    return outcome
+
+
+class ForkBackend(ExecutorBackend):
+    """The supervised process pool, started by ``fork`` (POSIX only).
+
+    ``(task_fn, payload)`` reaches the workers by fork inheritance —
+    never pickled, so closures work — and only results travel back.
     """
 
     name = "fork"
@@ -360,146 +384,25 @@ class ForkBackend(ExecutorBackend):
         workers: int = 1,
         policy: Optional[SupervisionPolicy] = None,
     ) -> SupervisionOutcome:
-        def fork_task(task: Any, attempt: int) -> Any:
-            # Runs in the forked child; payload via fork inheritance.
-            return task_fn(payload, task, attempt)
-
-        return supervise(list(tasks), fork_task, workers=workers,
-                         policy=policy)
-
-
-def _spawn_worker_main(conn: Any) -> None:
-    """Persistent spawn-worker loop: cache shipped state, run tasks.
-
-    Messages in: ``("state", key, blob)``, ``("task", key, task,
-    attempt)``, ``("stop",)``.  Messages out: ``(OK, result)`` or
-    ``(EXCEPTION, error, message, digest)`` per task.  EOF on the pipe
-    (parent died or gave up on us) ends the loop.
-    """
-    import os
-
-    telemetry.reset_in_child()
-    cache: Dict[str, Any] = {}
-    try:
-        while True:
-            try:
-                message = conn.recv()
-            except (EOFError, OSError):
-                break
-            op = message[0]
-            if op == "state":
-                cache[message[1]] = pickle.loads(message[2])
-            elif op == "task":
-                key, task, attempt = message[1], message[2], message[3]
-                entry = cache.get(key)
-                if entry is None:
-                    conn.send((
-                        EXCEPTION, "StaleStateError",
-                        f"worker holds no state for key {key[:12]}", "",
-                    ))
-                    continue
-                fn, payload = entry
-                try:
-                    result = fn(payload, task, attempt)
-                except BaseException as exc:  # noqa: BLE001 — must travel back
-                    conn.send((
-                        EXCEPTION, type(exc).__name__, str(exc),
-                        traceback_digest(exc),
-                    ))
-                else:
-                    conn.send((OK, result))
-            elif op == "stop":
-                break
-    finally:
-        try:
-            conn.close()
-        except OSError:
-            pass
-        os._exit(0)
-
-
-class _SpawnWorker:
-    """One persistent spawn child: process, duplex pipe, shipped keys."""
-
-    __slots__ = ("process", "conn", "keys", "task", "attempt", "deadline")
-
-    def __init__(self, process: Any, conn: Any) -> None:
-        self.process = process
-        self.conn = conn
-        self.keys: set = set()
-        self.task: Any = None
-        self.attempt = 0
-        self.deadline: Optional[float] = None
+        return _process_map("fork", task_fn, payload, tasks, workers, policy)
 
 
 class SpawnBackend(ExecutorBackend):
-    """Persistent spawn workers; state content-addressed and cached.
+    """The supervised process pool, started by ``spawn`` (any platform).
 
     Each worker is a fresh interpreter (nothing inherited), so
-    ``(task_fn, payload)`` is pickled once per :meth:`map`, keyed by
-    the blob's SHA-256, and shipped to a worker only if it does not
-    already hold that key — workers persist across ``map`` calls on
-    the same backend instance, so repeated runs over the same state
-    (a simulator's verify/grade/sign-off passes, a service executing
-    many cells of one campaign) ship it once.  Supervision matches the
-    fork pool: EOF on a worker's pipe is a crash, a missed deadline
-    kills and replaces the worker, both retry per policy.
+    ``(task_fn, payload)`` is pickled once per worker as it starts;
+    every ``map`` pays the interpreters' start-up.
     """
 
     name = "spawn"
     isolated = True
     replays_counters = True
 
-    #: Grace given to a terminated worker before SIGKILL, and to joins.
-    term_grace_s = 5.0
-
-    def __init__(self) -> None:
-        self._workers: List[_SpawnWorker] = []
-        self._lock = threading.Lock()
-
     @classmethod
     def available(cls) -> bool:
         return "spawn" in multiprocessing.get_all_start_methods()
 
-    # -- worker lifecycle ----------------------------------------------
-    def _spawn_one(self) -> _SpawnWorker:
-        context = multiprocessing.get_context("spawn")
-        parent_conn, child_conn = context.Pipe(duplex=True)
-        process = context.Process(
-            target=_spawn_worker_main, args=(child_conn,), daemon=True
-        )
-        process.start()
-        child_conn.close()
-        worker = _SpawnWorker(process, parent_conn)
-        self._workers.append(worker)
-        return worker
-
-    def _discard(self, worker: _SpawnWorker, kill: bool) -> None:
-        if worker in self._workers:
-            self._workers.remove(worker)
-        try:
-            worker.conn.close()
-        except OSError:
-            pass
-        process = worker.process
-        if kill and process.is_alive():
-            process.terminate()
-            process.join(self.term_grace_s)
-            if process.is_alive():
-                process.kill()
-        process.join(self.term_grace_s)
-
-    def close(self) -> None:
-        with self._lock:
-            for worker in list(self._workers):
-                try:
-                    worker.conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
-            for worker in list(self._workers):
-                self._discard(worker, kill=True)
-
-    # -- supervised map ------------------------------------------------
     def map(
         self,
         task_fn: TaskFn,
@@ -509,99 +412,7 @@ class SpawnBackend(ExecutorBackend):
         workers: int = 1,
         policy: Optional[SupervisionPolicy] = None,
     ) -> SupervisionOutcome:
-        policy = policy or SupervisionPolicy()
-        outcome = SupervisionOutcome(results={}, failed={})
-        tasks = list(tasks)
-        if not tasks:
-            return outcome
-        with self._lock:
-            self._map_locked(
-                task_fn, payload, tasks, max(1, workers), policy, outcome
-            )
-        return outcome
-
-    def _map_locked(
-        self,
-        task_fn: TaskFn,
-        payload: Any,
-        tasks: List[Any],
-        cap: int,
-        policy: SupervisionPolicy,
-        outcome: SupervisionOutcome,
-    ) -> None:
-        blob = pickle.dumps(
-            (task_fn, payload), protocol=pickle.HIGHEST_PROTOCOL
-        )
-        state_key = hashlib.sha256(blob).hexdigest()
-        pending: List[Tuple[Any, int]] = [(task, 0) for task in tasks]
-        busy: Dict[Any, _SpawnWorker] = {}
-        while pending or busy:
-            target = min(cap, len(pending) + len(busy))
-            while len(self._workers) < target:
-                self._spawn_one()
-            idle = [w for w in self._workers if w.conn not in busy]
-            while pending and idle and len(busy) < cap:
-                worker = idle.pop(0)
-                task, attempt = pending.pop(0)
-                try:
-                    if state_key not in worker.keys:
-                        worker.conn.send(("state", state_key, blob))
-                        worker.keys.add(state_key)
-                    worker.conn.send(("task", state_key, task, attempt))
-                except (OSError, BrokenPipeError):
-                    # Died between tasks; requeue and replace next pass.
-                    self._discard(worker, kill=True)
-                    pending.insert(0, (task, attempt))
-                    break
-                worker.task, worker.attempt = task, attempt
-                worker.deadline = (
-                    time.monotonic() + policy.timeout_s
-                    if policy.timeout_s is not None
-                    else None
-                )
-                busy[worker.conn] = worker
-            if not busy:
-                continue
-            ready = connection.wait(
-                list(busy), timeout=policy.poll_interval_s
-            )
-            now = time.monotonic()
-            for conn in list(busy):
-                worker = busy.get(conn)
-                if worker is None:
-                    continue
-                if conn in ready:
-                    del busy[conn]
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        code = worker.process.exitcode
-                        self._discard(worker, kill=False)
-                        _settle_failure(
-                            outcome, policy, pending, worker.task,
-                            worker.attempt, CRASH, "WorkerCrash",
-                            f"spawn worker exited with code {code} before "
-                            f"returning a result", "",
-                        )
-                        continue
-                    if message[0] == OK:
-                        outcome.results[worker.task] = message[1]
-                    else:
-                        _, error, text, digest = message
-                        _settle_failure(
-                            outcome, policy, pending, worker.task,
-                            worker.attempt, EXCEPTION, error, text, digest,
-                        )
-                    worker.task, worker.deadline = None, None
-                elif worker.deadline is not None and now >= worker.deadline:
-                    del busy[conn]
-                    self._discard(worker, kill=True)
-                    _settle_failure(
-                        outcome, policy, pending, worker.task,
-                        worker.attempt, HANG, "WorkerHang",
-                        f"no result within {policy.timeout_s}s "
-                        f"(worker terminated)", "",
-                    )
+        return _process_map("spawn", task_fn, payload, tasks, workers, policy)
 
 
 class ThreadLaneBackend(ExecutorBackend):
@@ -613,8 +424,9 @@ class ThreadLaneBackend(ExecutorBackend):
     counters a task captured come back with its result and the caller
     replays them (``replays_counters``).  A task past its deadline is
     *abandoned*, not killed (Python threads are uninterruptible): it
-    may still complete into the void while its retry runs, so tasks
-    must be idempotent — which store-first service work is.
+    may still complete into the void while its retry runs — ``map``
+    does not wait for it — so tasks must be idempotent, which
+    store-first service work is.
     """
 
     name = "thread-lane"
@@ -638,6 +450,7 @@ class ThreadLaneBackend(ExecutorBackend):
         cap = max(1, workers)
         pending: List[Tuple[Any, int]] = [(task, 0) for task in tasks]
         running: Dict[Any, Tuple[Any, int, Optional[float]]] = {}
+        abandoned = False
         pool = ThreadPoolExecutor(
             max_workers=cap, thread_name_prefix="repro-exec-lane"
         )
@@ -671,7 +484,8 @@ class ThreadLaneBackend(ExecutorBackend):
                             )
                     elif deadline is not None and now >= deadline:
                         del running[future]
-                        future.cancel()
+                        if not future.cancel():
+                            abandoned = True
                         _settle_failure(
                             outcome, policy, pending, task, attempt, HANG,
                             "WorkerHang",
@@ -680,7 +494,7 @@ class ThreadLaneBackend(ExecutorBackend):
                         )
         finally:
             # Abandoned (hung) attempts must not block the caller.
-            pool.shutdown(wait=not running and len(pending) == 0)
+            pool.shutdown(wait=not (abandoned or running))
         return outcome
 
 
@@ -693,17 +507,11 @@ _REGISTRY: Dict[str, type] = {
 }
 
 
-def backend_name(spec: Union[None, str, ExecutorBackend]) -> str:
-    """Canonical name of a backend spec (None = auto choice)."""
-    return create_backend(spec).name if not isinstance(spec, ExecutorBackend) \
-        else spec.name
-
-
 def auto_backend() -> ExecutorBackend:
     """The default process backend: fork where available, else spawn.
 
     Fork ships state for free (inheritance); spawn pays one pickle per
-    state but runs everywhere — so spawn-only platforms get a real
+    worker but runs everywhere — so spawn-only platforms get a real
     pool instead of silently degrading to in-process execution.
     """
     if ForkBackend.available():

@@ -34,7 +34,6 @@ from .diagnosis import FaultDictionary, DiagnosisResult
 from .sharded import (
     SEQUENTIAL_ENGINE,
     ShardedFaultSimulator,
-    fork_available,
     shard_faults,
     sharded_coverage,
 )
@@ -150,7 +149,6 @@ __all__ = [
     "SequentialFaultSimulator",
     "SEQUENTIAL_ENGINE",
     "ShardedFaultSimulator",
-    "fork_available",
     "shard_faults",
     "sharded_coverage",
 ]

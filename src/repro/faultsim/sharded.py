@@ -56,13 +56,11 @@ exists to prove all of the above.
 
 from __future__ import annotations
 
-import multiprocessing
 import time
-import weakref
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from .. import telemetry
-from ..exec.backends import ExecutorBackend, _REGISTRY as _BACKEND_REGISTRY
+from ..exec.backends import ExecutorBackend, create_backend
 from ..netlist.circuit import Circuit
 from ..faults.stuck_at import Fault
 from ..faults.models import (
@@ -86,11 +84,6 @@ Pattern = Mapping[str, int]
 #: names.  It is not part of the combinational Engine enum because its
 #: input is a clock-cycle sequence, not independent patterns.
 SEQUENTIAL_ENGINE = "sequential"
-
-
-def fork_available() -> bool:
-    """Can this platform run fork-based worker pools?"""
-    return "fork" in multiprocessing.get_all_start_methods()
 
 
 def shard_faults(faults: Sequence[Fault], shards: int) -> List[List[Fault]]:
@@ -144,11 +137,10 @@ def _build_simulator(
 
 
 # ----------------------------------------------------------------------
-# Worker side.  State travels to the children by fork inheritance (the
-# supervisor forks one child per shard attempt and the task closure
-# references the state directly), so the circuit and pattern set are
-# never pickled per task — only the shard's report (plus telemetry)
-# comes back over the result pipe.
+# Worker side.  The backend hands ``(_shard_task, state)`` to each
+# worker process once — by fork inheritance under ``fork``, pickled
+# under ``spawn`` — so per task only the shard index goes out and the
+# shard's report (plus telemetry) comes back.
 # ----------------------------------------------------------------------
 def _execute_shard(state: Dict[str, Any], index: int):
     """Run one fault shard; returns (index, report, counters, seconds).
@@ -265,7 +257,6 @@ class ShardedFaultSimulator:
         self.chaos = chaos
         self.engine_kwargs = dict(engine_kwargs)
         self.backend_spec = backend
-        self._backends: Dict[str, ExecutorBackend] = {}
         self._local = None
         self.failures: List[FailureRecord] = []
         self.stats: Dict[str, Any] = {
@@ -285,56 +276,6 @@ class ShardedFaultSimulator:
                 "fallbacks": 0,
             },
         }
-
-    # -- backend resolution --------------------------------------------
-    def _resolve_backend(self) -> Tuple[Optional[ExecutorBackend], Optional[str]]:
-        """The pooled backend for this run, or ``(None, reason)``.
-
-        Auto-selection (``backend=None``) prefers fork — state ships to
-        children for free by inheritance — and falls back to spawn so
-        spawn-only platforms still get a real pool.  An explicitly
-        requested backend that is unavailable degrades to in-process
-        with a ``<name>_unavailable`` reason (never silently).  The
-        module-level :func:`fork_available` stays the single source of
-        truth for fork capability (tests monkeypatch it).
-        """
-        spec = self.backend_spec
-        if isinstance(spec, ExecutorBackend):
-            return spec, None
-        if spec is None:
-            if fork_available():
-                name = "fork"
-            elif "spawn" in multiprocessing.get_all_start_methods():
-                name = "spawn"
-            else:
-                return None, "fork_unavailable"
-        else:
-            name = str(spec).strip().lower().replace("_", "-")
-            if name == "thread":
-                name = "thread-lane"
-            if name not in _BACKEND_REGISTRY:
-                raise ValueError(
-                    f"unknown execution backend {spec!r}; available: "
-                    f"{sorted(k for k in _BACKEND_REGISTRY if k != 'thread')}"
-                )
-        cls = _BACKEND_REGISTRY[name]
-        available = fork_available() if name == "fork" else cls.available()
-        if not available:
-            return None, f"{name}_unavailable"
-        instance = self._backends.get(name)
-        if instance is None:
-            instance = cls()
-            self._backends[name] = instance
-            # Persistent-worker backends (spawn) must not leak children
-            # when the simulator is dropped without an explicit close().
-            weakref.finalize(self, instance.close)
-        return instance, None
-
-    def close(self) -> None:
-        """Release any persistent backend workers (idempotent)."""
-        for instance in self._backends.values():
-            instance.close()
-        self._backends.clear()
 
     # -- in-process delegate -------------------------------------------
     def _local_simulator(self):
@@ -367,10 +308,16 @@ class ShardedFaultSimulator:
         recorded in :attr:`failures`.
         """
         shards = shard_faults(self.faults, self.shard_count)
-        backend, avail_reason = self._resolve_backend()
-        use_pool = self.workers > 1 and len(shards) > 1 and backend is not None
-        mode = backend.name if use_pool and backend is not None else "inprocess"
-        if use_pool and backend is not None:
+        backend: Optional[ExecutorBackend] = None
+        reason = ""
+        if self.workers > 1:
+            backend = create_backend(self.backend_spec)
+            if not type(backend).available():
+                reason, backend = f"{backend.name}_unavailable", None
+            elif len(shards) <= 1:
+                reason, backend = "single_shard", None
+        mode = backend.name if backend is not None else "inprocess"
+        if backend is not None:
             # "effective" is pool slots granted; inline has exactly one.
             effective = (
                 1 if backend.name == "inline"
@@ -384,7 +331,6 @@ class ShardedFaultSimulator:
                 # Degrading to in-process is never silent: counted in
                 # telemetry, listed in ``fallbacks``, and surfaced as
                 # the manifest workers section's top-level ``reason``.
-                reason = avail_reason if backend is None else "single_shard"
                 self.stats["reason"] = reason
                 self._record_fallback(reason)
         with telemetry.span(
@@ -415,7 +361,7 @@ class ShardedFaultSimulator:
                 report = self._local_simulator().run(patterns, **run_kwargs)
                 self._record_run(mode, 1, [])
                 return report
-            if use_pool and backend is not None:
+            if backend is not None:
                 shard_rows, report_lists = self._run_backend(
                     state, shards, effective, backend
                 )
@@ -701,7 +647,4 @@ def sharded_coverage(
         backend=backend,
         **engine_kwargs,
     )
-    try:
-        return simulator.run(patterns)
-    finally:
-        simulator.close()
+    return simulator.run(patterns)

@@ -8,11 +8,11 @@ design* — applied to this repo's own execution stack.  Three layers:
   (bounded, jittered exponential backoff, injectable sleep), and
   :class:`FailureRecord` (the manifest-ready description of a permanent
   failure);
-* :mod:`~repro.resilience.supervisor` — :func:`supervise`, the
-  fork-based worker supervisor that detects crashes, hangs and raised
-  exceptions, retries with backoff, and hands exhausted tasks back to
-  the caller (used by
-  :class:`repro.faultsim.sharded.ShardedFaultSimulator`);
+* :mod:`~repro.resilience.supervisor` — the supervision data types
+  (:class:`SupervisionPolicy`, :class:`TaskFailure`,
+  :class:`SupervisionOutcome`) that every :mod:`repro.exec` backend's
+  ``map`` takes and returns: per-attempt deadlines and retry budget in,
+  results plus crash/hang/exception failures out;
 * :mod:`~repro.resilience.chaos` — :class:`ChaosConfig`, the seeded
   chaos harness that injects worker crashes/hangs/exceptions, poisoned
   faults and cells, store/checkpoint corruption, and the service
@@ -34,7 +34,6 @@ from .supervisor import (
     SupervisionOutcome,
     SupervisionPolicy,
     TaskFailure,
-    supervise,
 )
 from .chaos import (
     ChaosConfig,
@@ -53,7 +52,6 @@ __all__ = [
     "SupervisionOutcome",
     "SupervisionPolicy",
     "TaskFailure",
-    "supervise",
     "ChaosConfig",
     "ChaosError",
     "PoisonedFaultError",

@@ -1,52 +1,41 @@
-"""Fork-based worker supervision: timeouts, crash detection, retries.
+"""Supervision data types: policy, per-task failure, map outcome.
 
-The generic engine under the sharded fault simulator's fault tolerance.
-:func:`supervise` runs one forked child process per task, watches every
-child through a result pipe, and classifies each attempt's outcome:
+The vocabulary every :mod:`repro.exec` backend speaks.  A backend's
+``map`` runs each task under a :class:`SupervisionPolicy` and
+classifies every attempt:
 
-* **ok** — the child sent its result back;
-* **crash** — the child died without a result (``os._exit``, signal,
-  interpreter abort): its pipe reads EOF / its exit code is non-zero;
-* **hang** — no result within ``timeout_s``: the child is terminated
-  (then killed) and the attempt counts as failed;
-* **exception** — the child's task raised: the exception's class,
-  message and traceback digest come back over the pipe (the traceback
-  itself never needs to pickle).
+* **ok** — the task returned its result;
+* **crash** — the worker process died without a result (``os._exit``,
+  signal, interpreter abort): its pipe reads EOF;
+* **hang** — no result within ``timeout_s``: the worker is terminated
+  (then killed) — or, on threads, abandoned — and the attempt counts
+  as failed;
+* **exception** — the task raised: the exception's class, message and
+  traceback digest come back (the traceback itself never needs to
+  pickle).
 
 Failed attempts are retried with the policy's jittered exponential
 backoff up to ``retry.max_retries`` times; a task that exhausts its
 budget lands in :attr:`SupervisionOutcome.failed` for the caller to
 resolve (the sharded simulator falls back to in-process execution, then
-applies its :class:`~repro.resilience.policy.FailurePolicy`).
-
-State reaches the children by fork inheritance — ``task_fn`` is a
-closure run after ``fork()``, so nothing but the result is ever
-pickled.  Every retry, crash, hang and worker exception is counted
-through :mod:`repro.telemetry` (``resilience.*`` counters), so
-supervision activity is visible in run manifests, never silent.
+applies its :class:`~repro.resilience.policy.FailurePolicy`).  Every
+retry, crash, hang and worker exception is counted through
+:mod:`repro.telemetry` (``resilience.*`` counters), so supervision
+activity is visible in run manifests, never silent.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import time
 from dataclasses import dataclass, field
-from multiprocessing import connection
-from typing import Any, Callable, Dict, Hashable, List, Optional, Sequence
+from typing import Any, Dict, List, Optional
 
-from .. import telemetry
-from .policy import RetryPolicy, traceback_digest
+from .policy import RetryPolicy
 
 __all__ = [
     "SupervisionPolicy",
     "TaskFailure",
     "SupervisionOutcome",
-    "supervise",
 ]
-
-#: Exit code a child uses after successfully shipping its result.
-_CHILD_OK_EXIT = 0
 
 #: Attempt outcome kinds (also the telemetry counter suffixes).
 OK, CRASH, HANG, EXCEPTION = "ok", "crash", "hang", "exception"
@@ -54,13 +43,13 @@ OK, CRASH, HANG, EXCEPTION = "ok", "crash", "hang", "exception"
 
 @dataclass
 class SupervisionPolicy:
-    """Knobs for :func:`supervise`.
+    """Knobs for a supervised ``map``.
 
     ``timeout_s`` is the per-attempt wall-clock budget (``None``
     disables hang detection).  ``retry`` schedules re-attempts after
     any crash/hang/exception.  ``poll_interval_s`` bounds how often the
     supervisor wakes to check deadlines; ``term_grace_s`` is how long a
-    terminated (hung) child gets before being killed outright.
+    terminated (hung) worker gets before being killed outright.
     """
 
     timeout_s: Optional[float] = None
@@ -83,199 +72,9 @@ class TaskFailure:
 
 @dataclass
 class SupervisionOutcome:
-    """Everything one :func:`supervise` call produced."""
+    """Everything one supervised ``map`` produced."""
 
     results: Dict[Any, Any]
     failed: Dict[Any, TaskFailure]
     retries: int = 0
     events: List[Dict[str, Any]] = field(default_factory=list)
-
-
-class _Active:
-    """One running child: process, pipe, identity, deadline."""
-
-    __slots__ = ("process", "conn", "task", "attempt", "deadline")
-
-    def __init__(self, process, conn, task, attempt, deadline) -> None:
-        self.process = process
-        self.conn = conn
-        self.task = task
-        self.attempt = attempt
-        self.deadline = deadline
-
-
-def _child_main(conn, task_fn, task, attempt) -> None:
-    """Child-process entry: run the task, ship the outcome, exit hard.
-
-    ``os._exit`` (not ``sys.exit``) keeps the forked child from
-    flushing inherited stdio buffers or running the parent's atexit
-    hooks twice.
-    """
-    telemetry.reset_in_child()
-    try:
-        result = task_fn(task, attempt)
-    except BaseException as exc:  # noqa: BLE001 — everything must travel back
-        try:
-            conn.send(
-                (EXCEPTION, type(exc).__name__, str(exc), traceback_digest(exc))
-            )
-            conn.close()
-        finally:
-            os._exit(_CHILD_OK_EXIT)
-    try:
-        conn.send((OK, result))
-        conn.close()
-    finally:
-        os._exit(_CHILD_OK_EXIT)
-
-
-def _reap(active: _Active, grace_s: float, kill: bool) -> None:
-    """Join a finished child; terminate+kill first when ``kill``."""
-    process = active.process
-    if kill and process.is_alive():
-        process.terminate()
-        process.join(grace_s)
-        if process.is_alive():
-            process.kill()
-            process.join(grace_s)
-    else:
-        process.join(grace_s)
-    active.conn.close()
-
-
-def _delegated_task(task_fn: Callable[[Any, int], Any], task: Any,
-                    attempt: int) -> Any:
-    """Adapter from the backend task signature to the supervisor's.
-
-    Module-level so ``backend="spawn"`` delegation can pickle it (the
-    wrapped ``task_fn`` must itself be picklable in that case).
-    """
-    return task_fn(task, attempt)
-
-
-def supervise(
-    tasks: Sequence[Hashable],
-    task_fn: Callable[[Any, int], Any],
-    workers: int,
-    policy: Optional[SupervisionPolicy] = None,
-    backend: Optional[Any] = None,
-) -> SupervisionOutcome:
-    """Run ``task_fn(task, attempt)`` in forked children, supervised.
-
-    At most ``workers`` children run concurrently.  Each task is
-    retried per ``policy.retry`` (with backoff between attempts) and
-    ends up either in ``results[task]`` or ``failed[task]``.  Requires
-    a platform with ``fork`` (callers gate on
-    :func:`repro.faultsim.sharded.fork_available`) — unless ``backend``
-    names a :mod:`repro.exec` backend, in which case execution is
-    delegated there with identical outcome/retry/telemetry semantics
-    (the fork backend itself comes straight back here).
-    """
-    if backend is not None:
-        from ..exec.backends import ForkBackend, create_backend
-
-        resolved = create_backend(backend)
-        if not isinstance(resolved, ForkBackend):
-            return resolved.map(
-                _delegated_task, task_fn, list(tasks),
-                workers=workers, policy=policy,
-            )
-    policy = policy or SupervisionPolicy()
-    retry = policy.retry
-    context = multiprocessing.get_context("fork")
-    outcome = SupervisionOutcome(results={}, failed={})
-    pending: List[tuple] = [(task, 0) for task in tasks]
-    active: Dict[Any, _Active] = {}
-
-    def launch(task: Any, attempt: int) -> None:
-        parent_conn, child_conn = context.Pipe(duplex=False)
-        process = context.Process(
-            target=_child_main,
-            args=(child_conn, task_fn, task, attempt),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        deadline = (
-            time.monotonic() + policy.timeout_s
-            if policy.timeout_s is not None
-            else None
-        )
-        active[parent_conn] = _Active(
-            process, parent_conn, task, attempt, deadline
-        )
-
-    def settle(entry: _Active, kind: str, error: str, message: str,
-               digest: str, result: Any = None) -> None:
-        """Record one finished attempt; requeue or fail the task."""
-        if kind == OK:
-            outcome.results[entry.task] = result
-            return
-        telemetry.incr(f"resilience.worker_{kind}")
-        attempts = entry.attempt + 1
-        if entry.attempt < retry.max_retries:
-            telemetry.incr("resilience.retry")
-            outcome.retries += 1
-            delay = retry.wait(f"task:{entry.task}", entry.attempt)
-            outcome.events.append(
-                {"task": entry.task, "attempt": entry.attempt, "kind": kind,
-                 "error": error, "action": "retry", "delay_s": delay}
-            )
-            pending.append((entry.task, attempts))
-        else:
-            outcome.events.append(
-                {"task": entry.task, "attempt": entry.attempt, "kind": kind,
-                 "error": error, "action": "gave_up", "delay_s": 0.0}
-            )
-            outcome.failed[entry.task] = TaskFailure(
-                task=entry.task, kind=kind, error=error, message=message,
-                digest=digest, attempts=attempts,
-            )
-
-    try:
-        while pending or active:
-            while pending and len(active) < max(1, workers):
-                task, attempt = pending.pop(0)
-                launch(task, attempt)
-            ready = connection.wait(
-                list(active), timeout=policy.poll_interval_s
-            )
-            now = time.monotonic()
-            for conn in list(active):
-                entry = active.get(conn)
-                if entry is None:
-                    continue
-                if conn in ready:
-                    del active[conn]
-                    try:
-                        message = conn.recv()
-                    except (EOFError, OSError):
-                        _reap(entry, policy.term_grace_s, kill=False)
-                        code = entry.process.exitcode
-                        settle(
-                            entry, CRASH, "WorkerCrash",
-                            f"worker exited with code {code} before "
-                            f"returning a result", "",
-                        )
-                        continue
-                    _reap(entry, policy.term_grace_s, kill=False)
-                    if message[0] == OK:
-                        settle(entry, OK, "", "", "", result=message[1])
-                    else:
-                        _, error, text, digest = message
-                        settle(entry, EXCEPTION, error, text, digest)
-                elif entry.deadline is not None and now >= entry.deadline:
-                    del active[conn]
-                    _reap(entry, policy.term_grace_s, kill=True)
-                    settle(
-                        entry, HANG, "WorkerHang",
-                        f"no result within {policy.timeout_s}s "
-                        f"(worker terminated)", "",
-                    )
-    finally:
-        # Never leak children (e.g. caller's FailurePolicy raised
-        # mid-supervision from a settle callback — impossible today,
-        # but cheap to guarantee).
-        for entry in active.values():
-            _reap(entry, policy.term_grace_s, kill=True)
-    return outcome

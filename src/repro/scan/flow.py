@@ -247,7 +247,6 @@ def full_scan_flow(
                         backend=backend,
                     )
                     coverage = verifier.run(schedule)
-                    verifier.close()
 
     engine_name = getattr(engine, "value", engine)
     manifest = telemetry.RunManifest(

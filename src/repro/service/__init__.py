@@ -27,7 +27,6 @@ from .client import (
 )
 from .journal import JOBS_JOURNAL, JobJournal, JobJournalError
 from .protocol import (
-    ACCEPTED_SCHEMAS,
     DEFAULT_PRIORITY,
     DEFAULT_TENANT,
     EVENT_ACCEPTED,
@@ -55,7 +54,6 @@ from .server import (
 
 __all__ = [
     "PROTOCOL_SCHEMA",
-    "ACCEPTED_SCHEMAS",
     "DEFAULT_PRIORITY",
     "DEFAULT_TENANT",
     "MAX_LINE_BYTES",

@@ -231,7 +231,7 @@ class ServiceClient:
     ) -> Iterator[Dict[str, Any]]:
         """Submit a spec and yield events as the daemon streams them.
 
-        ``priority`` (protocol v2) biases the daemon's fair-share
+        ``priority`` biases the daemon's fair-share
         scheduler: higher runs sooner within this tenant's share.  A
         terminal ``error`` event is raised as :class:`ServiceError`
         (with its ``code``); all other events are yielded through.

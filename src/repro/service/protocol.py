@@ -15,17 +15,17 @@ Requests (all carry ``{"schema": PROTOCOL_SCHEMA, "op": ...}``):
     is one ``accepted`` event, one ``cell`` event per cell **in
     deterministic spec order, emitted as each cell finishes**
     (incremental results), and one terminal ``done`` event.
-    ``priority`` (protocol v2, optional, default 0) biases the
-    fair-share scheduler: higher runs sooner within a tenant's share.
+    ``priority`` (optional, default 0) biases the fair-share
+    scheduler: higher runs sooner within a tenant's share.
 
 ``resume``
-    ``{"op": "resume", "job_id": str, "after_seq": int}`` (protocol
-    v3) — re-attach to a job's event stream after a dropped
-    connection or a daemon restart.  The daemon replays every buffered
-    event with ``seq > after_seq`` and then continues live until
-    ``done``.  An unknown ``job_id`` (never accepted, retired from
-    history, or lost to a torn journal tail) gets a terminal ``error``
-    event with code ``unknown_job``.
+    ``{"op": "resume", "job_id": str, "after_seq": int}`` — re-attach
+    to a job's event stream after a dropped connection or a daemon
+    restart.  The daemon replays every buffered event with ``seq >
+    after_seq`` and then continues live until ``done``.  An unknown
+    ``job_id`` (never accepted, retired from history, or lost to a
+    torn journal tail) gets a terminal ``error`` event with code
+    ``unknown_job``.
 
 ``status``
     One ``status`` event: service counters, store size/stats, tenant
@@ -35,15 +35,14 @@ Requests (all carry ``{"schema": PROTOCOL_SCHEMA, "op": ...}``):
     One ``bye`` event, then the daemon drains its queue and exits
     (same path as SIGTERM).
 
-**Event sequencing (protocol v3).**  Every event a job streams carries
-a job-scoped ``seq``: ``accepted`` is ``seq 0``, the cells are ``seq
-1..N`` (each also carries ``index``, its position in spec order, and
-``of``, the cell count), and ``done`` is ``seq N+1``.  Within one job
-the stream — across any number of drops and resumes — is strictly
-increasing and gapless in ``seq``, which is what makes client-side
-resume exact: replay everything after the last seq you saw, nothing
-is duplicated, nothing is missing.  v1/v2 requests are still accepted
-(they simply never send ``resume``); their events carry the v3 fields.
+**Event sequencing.**  Every event a job streams carries a job-scoped
+``seq``: ``accepted`` is ``seq 0``, the cells are ``seq 1..N`` (each
+also carries ``index``, its position in spec order, and ``of``, the
+cell count), and ``done`` is ``seq N+1``.  Within one job the stream —
+across any number of drops and resumes — is strictly increasing and
+gapless in ``seq``, which is what makes client-side resume exact:
+replay everything after the last seq you saw, nothing is duplicated,
+nothing is missing.
 
 Error handling: any malformed request, unknown spec, or quota
 rejection produces a single terminal ``error`` event (with a ``code``
@@ -59,7 +58,6 @@ from typing import Any, Dict, Union
 
 __all__ = [
     "PROTOCOL_SCHEMA",
-    "ACCEPTED_SCHEMAS",
     "DEFAULT_PRIORITY",
     "MAX_LINE_BYTES",
     "OP_SUBMIT",
@@ -84,16 +82,9 @@ __all__ = [
 ]
 
 #: Version tag every request and event carries; a format change bumps
-#: it and old clients get a clean ``error`` event instead of garbage.
-#: v3 added per-job event sequence numbers and the ``resume`` op —
-#: compatible extensions, so v1/v2 requests are still accepted (see
-#: ``ACCEPTED_SCHEMAS``) and answered with v3 events.
+#: it and clients speaking any other version get a clean ``error``
+#: event (code ``protocol``) instead of garbage.
 PROTOCOL_SCHEMA = "repro.service/3"
-
-#: Request schemas the server accepts.  v1 predates ``priority``; v2
-#: predates ``seq``/``resume``.  Older submits simply run with the
-#: newer fields defaulted.
-ACCEPTED_SCHEMAS = ("repro.service/1", "repro.service/2", PROTOCOL_SCHEMA)
 
 #: Default submit priority (higher runs sooner within a tenant's share).
 DEFAULT_PRIORITY = 0
@@ -197,10 +188,10 @@ def shutdown_request() -> Dict[str, Any]:
 def validate_request(data: Dict[str, Any]) -> Dict[str, Any]:
     """Check schema tag, op, and op-specific fields; raises on junk."""
     schema = data.get("schema")
-    if schema not in ACCEPTED_SCHEMAS:
+    if schema != PROTOCOL_SCHEMA:
         raise ProtocolError(
-            f"unknown protocol schema {schema!r} (expected one of "
-            f"{list(ACCEPTED_SCHEMAS)})"
+            f"unknown protocol schema {schema!r} (expected "
+            f"{PROTOCOL_SCHEMA!r})"
         )
     op = data.get("op")
     if op not in OPS:

@@ -43,7 +43,7 @@ Architecture (one process, one event loop):
   :class:`~repro.service.scheduler.FairShareScheduler` (per-tenant
   deficit round-robin over per-tenant priority queues, so one tenant's
   bulk campaign cannot starve another's interactive submission; the
-  optional protocol-v2 ``priority`` field biases order within a
+  optional ``priority`` field biases order within a
   tenant).  Lane telemetry is safe because
   :func:`repro.telemetry.capture` is contextvar-scoped and re-entrant
   across threads.  With more than one lane, cold cells execute in a
@@ -483,8 +483,6 @@ class CampaignService:
             except asyncio.CancelledError:
                 pass
         self._executor.shutdown(wait=True)
-        if self._cell_backend is not None:
-            self._cell_backend.close()
         self.write_manifest()
         if self.config.ready_file:
             try:

@@ -109,8 +109,11 @@ class CompiledCircuit:
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        self.circuit = circuit
+        # No reference to ``circuit`` itself: it is this program's key
+        # in the weak-keyed compile cache, which must be free to drop
+        # the entry once the circuit dies.
         self.version = circuit.version
+        self.output_names: Tuple[str, ...] = tuple(circuit.outputs)
         order = circuit.topological_order()
 
         names: List[str] = list(circuit.inputs)
@@ -464,7 +467,7 @@ class FaultInjector:
         good machine, matching the forgiving force semantics of
         :class:`repro.sim.packed.PackedSimulator`.
         """
-        outputs = self.program.circuit.outputs
+        outputs = self.program.output_names
         if site is None:
             good = self.good
             index = self.program.index

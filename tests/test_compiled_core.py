@@ -8,6 +8,9 @@ mutate circuits *after* simulating and assert fresh — never stale —
 results.
 """
 
+import gc
+import weakref
+
 import pytest
 
 from repro.circuits import c17
@@ -72,6 +75,18 @@ class TestProgramCache:
         assert [program.net_names[i] for i in program.output_indices] == list(
             c.outputs
         )
+
+    def test_cache_entry_dies_with_its_circuit(self):
+        # Regression: a program holding its own circuit kept the
+        # weak-keyed cache entry alive forever, so every simulator
+        # construction leaked a compiled program.
+        c = _xor_pair()
+        program = compile_circuit(c)
+        circuit_ref, program_ref = weakref.ref(c), weakref.ref(program)
+        del c, program
+        gc.collect()
+        assert circuit_ref() is None
+        assert program_ref() is None
 
     def test_cyclic_circuit_rejected(self):
         c = Circuit("latch")

@@ -5,15 +5,16 @@ results for the same tasks, the same ``SupervisionOutcome`` shape for
 retries and permanent failures, and the documented telemetry fold-back
 rule.  Where a capability genuinely differs (deadlines, crash
 isolation, state shipping), the backend-specific classes below pin the
-difference explicitly.
+difference explicitly; ``TestProcessPool`` pins the supervised pool
+that ``fork`` and ``spawn`` share.
 
 Spawn tests use module-level task functions — under ``spawn`` the
 ``(task_fn, payload)`` pair is pickled and shipped to a fresh
 interpreter, so closures would not survive the trip.
 """
 
+import multiprocessing
 import os
-import threading
 import time
 
 import pytest
@@ -21,17 +22,13 @@ import pytest
 from repro import telemetry
 from repro.exec import (
     BACKENDS,
-    ExecCancelledError,
-    ExecTaskError,
     ForkBackend,
     InlineBackend,
     SpawnBackend,
     ThreadLaneBackend,
     auto_backend,
-    backend_name,
     create_backend,
 )
-from repro.exec import backends as backends_module
 from repro.resilience import RetryPolicy
 from repro.resilience.supervisor import SupervisionPolicy
 
@@ -66,6 +63,17 @@ def _crash_once(payload, task, attempt):
     return task
 
 
+def _pid(payload, task, attempt):
+    return os.getpid()
+
+
+def _crash_on_task(payload, task, attempt):
+    """Hard-exit the worker on task ``payload``'s first attempt."""
+    if task == payload and attempt == 0:
+        os._exit(23)
+    return os.getpid()
+
+
 def _count_and_return(payload, task, attempt):
     """Capture own telemetry and return it (the fold-back contract)."""
     with telemetry.capture() as session:
@@ -96,25 +104,24 @@ class TestContract:
     @pytest.mark.parametrize("name", BACKENDS)
     @pytest.mark.parametrize("workers", (1, 3))
     def test_map_runs_every_task(self, name, workers):
-        with make_backend(name) as backend:
-            outcome = backend.map(
-                _scale, 10, range(7), workers=workers, policy=_policy()
-            )
+        outcome = make_backend(name).map(
+            _scale, 10, range(7), workers=workers, policy=_policy()
+        )
         assert outcome.failed == {}
         assert outcome.results == {task: 10 * task for task in range(7)}
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_map_empty_task_list(self, name):
-        with make_backend(name) as backend:
-            outcome = backend.map(_scale, 1, [], workers=2, policy=_policy())
+        outcome = make_backend(name).map(
+            _scale, 1, [], workers=2, policy=_policy()
+        )
         assert outcome.results == {} and outcome.failed == {}
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_retries_then_succeeds(self, name):
-        with make_backend(name) as backend:
-            outcome = backend.map(
-                _flaky, 1, [5], workers=1, policy=_policy(retries=2)
-            )
+        outcome = make_backend(name).map(
+            _flaky, 1, [5], workers=1, policy=_policy(retries=2)
+        )
         assert outcome.failed == {}
         assert outcome.results == {5: (5, 1)}  # succeeded on attempt 1
         assert outcome.retries == 1
@@ -122,73 +129,26 @@ class TestContract:
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_exhausted_retries_fail_with_supervisor_shape(self, name):
-        with make_backend(name) as backend:
-            outcome = backend.map(
-                _boom, None, ["bad"], workers=1, policy=_policy(retries=1)
-            )
+        outcome = make_backend(name).map(
+            _boom, None, ["bad"], workers=1, policy=_policy(retries=1)
+        )
         assert outcome.results == {}
         failure = outcome.failed["bad"]
         assert failure.kind == "exception"
         assert failure.error == "RuntimeError"
         assert "boom on bad" in failure.message
+        assert len(failure.digest) == 12  # the traceback travels as a digest
         assert failure.attempts == 2
         assert [e["action"] for e in outcome.events] == ["retry", "gave_up"]
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_failures_are_counted_in_telemetry(self, name):
         with telemetry.capture() as session:
-            with make_backend(name) as backend:
-                backend.map(
-                    _boom, None, [0], workers=1, policy=_policy(retries=1)
-                )
+            make_backend(name).map(
+                _boom, None, [0], workers=1, policy=_policy(retries=1)
+            )
         assert session.counters["resilience.worker_exception"] == 2
         assert session.counters["resilience.retry"] == 1
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_submit_returns_result(self, name):
-        with make_backend(name) as backend:
-            handle = backend.submit(_scale, 7, 6, policy=_policy())
-            assert handle.result(timeout=60) == 42
-        assert handle.done() and not handle.cancelled()
-        assert handle.cancel() is False  # too late to cancel
-
-    @pytest.mark.parametrize("name", BACKENDS)
-    def test_submit_failure_raises_exec_task_error(self, name):
-        with make_backend(name) as backend:
-            handle = backend.submit(_boom, None, "t", policy=_policy())
-            with pytest.raises(ExecTaskError) as info:
-                handle.result(timeout=60)
-        assert info.value.failure.error == "RuntimeError"
-
-
-class TestCancellation:
-    def test_cancel_before_start_wins(self, monkeypatch):
-        """A handle cancelled before its thread runs never executes."""
-        parked = []
-
-        class ParkedThread:
-            def __init__(self, target=None, daemon=None, name=None):
-                self.target = target
-
-            def start(self):
-                parked.append(self)
-
-        monkeypatch.setattr(backends_module.threading, "Thread", ParkedThread)
-        backend = InlineBackend()
-        handle = backend.submit(_scale, 2, 5)
-        assert handle.cancel() is True
-        monkeypatch.undo()
-        parked[0].target()  # the task finally gets scheduled
-        assert handle.cancelled()
-        with pytest.raises(ExecCancelledError):
-            handle.result(timeout=1)
-
-    def test_result_timeout(self):
-        with ThreadLaneBackend() as backend:
-            handle = backend.submit(_sleepy, 0.5, "slow")
-            with pytest.raises(TimeoutError):
-                handle.result(timeout=0.01)
-            assert handle.result(timeout=30) == "slow"
 
 
 # ----------------------------------------------------------------------
@@ -197,79 +157,85 @@ class TestCancellation:
 class TestDeadlines:
     @pytest.mark.parametrize("name", ("fork", "spawn", "thread-lane"))
     def test_hang_is_detected_and_classified(self, name):
-        with make_backend(name) as backend:
+        backend = make_backend(name)
+        start = time.monotonic()
+        with telemetry.capture() as session:
             outcome = backend.map(
                 _sleepy, 30.0, ["hung"], workers=1,
                 policy=_policy(timeout_s=0.3),
             )
+        # Killed (processes) or abandoned (threads): never waited out.
+        assert time.monotonic() - start < 5.0
         failure = outcome.failed["hung"]
         assert failure.kind == "hang"
         assert failure.error == "WorkerHang"
+        assert session.counters["resilience.worker_hang"] == 1
 
     def test_inline_ignores_deadline(self):
         # Inline cannot interrupt its own thread; the task just runs.
-        with InlineBackend() as backend:
-            outcome = backend.map(
-                _sleepy, 0.05, ["t"], workers=1, policy=_policy(timeout_s=0.01)
-            )
+        outcome = InlineBackend().map(
+            _sleepy, 0.05, ["t"], workers=1, policy=_policy(timeout_s=0.01)
+        )
         assert outcome.results == {"t": "t"}
 
 
 class TestIsolation:
     @pytest.mark.parametrize("name", ("fork", "spawn"))
     def test_worker_crash_is_contained_and_retried(self, name):
-        with make_backend(name) as backend:
-            outcome = backend.map(
+        with telemetry.capture() as session:
+            outcome = make_backend(name).map(
                 _crash_once, None, ["x"], workers=1, policy=_policy(retries=1)
             )
         assert outcome.results == {"x": "x"}
         assert outcome.events[0]["kind"] == "crash"
+        assert session.counters["resilience.worker_crash"] == 1
 
     @pytest.mark.parametrize("name", ("fork", "spawn"))
     def test_crash_without_retry_budget_fails(self, name):
-        with make_backend(name) as backend:
-            outcome = backend.map(
-                _crash_once, None, ["x"], workers=1, policy=_policy(retries=0)
-            )
-        assert outcome.failed["x"].kind == "crash"
+        outcome = make_backend(name).map(
+            _crash_once, None, ["x"], workers=1, policy=_policy(retries=0)
+        )
+        failure = outcome.failed["x"]
+        assert failure.kind == "crash"
+        assert "code 23" in failure.message  # the worker's exit code
 
 
-class TestSpawnStateShipping:
-    def test_workers_persist_and_state_ships_once_per_key(self):
-        with SpawnBackend() as backend:
-            first = backend.map(_scale, 3, [1, 2], workers=2,
-                                policy=_policy())
-            assert first.results == {1: 3, 2: 6}
-            workers_after_first = list(backend._workers)
-            # Same (task_fn, payload) -> same content key: no re-ship,
-            # same persistent workers.
-            second = backend.map(_scale, 3, [4], workers=2, policy=_policy())
-            assert second.results == {4: 12}
-            assert backend._workers[0] in workers_after_first
-            assert all(len(w.keys) == 1 for w in backend._workers)
-            # Different payload -> a second key on the worker that ran it.
-            third = backend.map(_scale, 5, [4], workers=1, policy=_policy())
-            assert third.results == {4: 20}
-            assert any(len(w.keys) == 2 for w in backend._workers)
+class TestProcessPool:
+    """The one supervised pool ``fork`` and ``spawn`` share."""
 
-    def test_crashed_worker_is_replaced_and_state_reshipped(self):
-        with SpawnBackend() as backend:
-            outcome = backend.map(
-                _crash_once, None, ["t"], workers=1, policy=_policy(retries=1)
-            )
-            assert outcome.results == {"t": "t"}
-            # The replacement worker is alive and holds the state key.
-            assert len(backend._workers) == 1
-            assert backend._workers[0].process.is_alive()
+    @pytest.mark.parametrize("name", ("fork", "spawn"))
+    def test_tasks_run_in_at_most_workers_processes(self, name):
+        outcome = make_backend(name).map(
+            _pid, None, range(5), workers=2, policy=_policy()
+        )
+        assert sorted(outcome.results) == list(range(5))
+        assert len(set(outcome.results.values())) <= 2
 
-    def test_close_is_idempotent_and_stops_workers(self):
-        backend = SpawnBackend()
-        backend.map(_scale, 1, [1], workers=1, policy=_policy())
-        workers = list(backend._workers)
-        backend.close()
-        backend.close()
-        assert backend._workers == []
-        assert all(not w.process.is_alive() for w in workers)
+    @pytest.mark.parametrize("name", ("fork", "spawn"))
+    def test_crashed_worker_is_replaced_and_task_retried(self, name):
+        # One worker runs task 0, then dies on task 1; its replacement
+        # runs tasks 2 and 3 and the retry of task 1.
+        outcome = make_backend(name).map(
+            _crash_on_task, 1, range(4), workers=1, policy=_policy(retries=1)
+        )
+        assert outcome.failed == {}
+        assert [(e["task"], e["kind"]) for e in outcome.events] == [
+            (1, "crash")
+        ]
+        pids = outcome.results
+        assert pids[0] != pids[2]
+        assert pids[1] == pids[2] == pids[3]
+
+    @pytest.mark.parametrize("name", ("fork", "spawn"))
+    def test_no_worker_outlives_the_map(self, name):
+        backend = make_backend(name)
+        backend.map(_scale, 2, range(3), workers=2, policy=_policy())
+        assert multiprocessing.active_children() == []
+        outcome = backend.map(
+            _sleepy, 30.0, ["hung"], workers=1, policy=_policy(timeout_s=0.3)
+        )
+        assert outcome.failed["hung"].kind == "hang"
+        assert multiprocessing.active_children() == []
 
 
 class TestTelemetryFoldBack:
@@ -300,11 +266,9 @@ class TestTelemetryFoldBack:
 
     @pytest.mark.parametrize("name", ("fork", "spawn"))
     def test_process_backends_return_child_counters(self, name):
-        with make_backend(name) as backend:
-            assert backend.replays_counters is True
-            outcome = backend.map(
-                _count_and_return, None, [0], policy=_policy()
-            )
+        backend = make_backend(name)
+        assert backend.replays_counters is True
+        outcome = backend.map(_count_and_return, None, [0], policy=_policy())
         _, returned = outcome.results[0]
         assert returned["exec_test.task_ran"] == 1
 
@@ -336,8 +300,3 @@ class TestRegistry:
             lambda cls: False
         ))
         assert isinstance(auto_backend(), SpawnBackend)
-
-    def test_backend_name_resolves_spec(self):
-        assert backend_name("thread") == "thread-lane"
-        assert backend_name(InlineBackend()) == "inline"
-        assert backend_name(None) in ("fork", "spawn")

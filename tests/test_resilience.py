@@ -1,20 +1,25 @@
 """Unit tests for the fault-tolerant execution layer.
 
-Covers the three :mod:`repro.resilience` building blocks in isolation:
+Covers the :mod:`repro.resilience` building blocks in isolation:
 retry/backoff policies (deterministic jittered schedules, injectable
 sleep), failure records (manifest row shape, traceback digests), and
-the fork-based worker supervisor (ok / crash / hang / exception
-classification, bounded retries, exhausted tasks handed back).  The
-end-to-end behaviour of these pieces under the sharded simulator and
-the campaign runner lives in ``tests/test_chaos.py``.
+the chaos harness's decisions and corruption helpers, and the
+supervised worker pool driven through ``ForkBackend.map`` (ok / crash /
+hang / exception classification, bounded retries, exhausted tasks
+handed back).  The same contract is pinned per backend in
+``tests/test_exec.py``; the end-to-end behaviour of these pieces under
+the sharded simulator and the campaign runner lives in
+``tests/test_chaos.py``.
 """
 
 import os
+import threading
 import time
 
 import pytest
 
 from repro import telemetry
+from repro.exec import ForkBackend
 from repro.resilience import (
     ChaosConfig,
     ChaosError,
@@ -25,13 +30,11 @@ from repro.resilience import (
     SupervisionPolicy,
     corrupt_json_file,
     failure_record,
-    supervise,
     traceback_digest,
 )
-from repro.faultsim.sharded import fork_available
 
 fork_only = pytest.mark.skipif(
-    not fork_available(), reason="requires fork start method"
+    not ForkBackend.available(), reason="requires fork start method"
 )
 
 
@@ -187,30 +190,32 @@ class TestChaosConfig:
 
 @fork_only
 class TestSupervise:
-    def _policy(self, **overrides):
+    """The supervised process pool, driven through ``ForkBackend.map``."""
+
+    def _map(self, task_fn, tasks, workers, **overrides):
         options = dict(retry=no_sleep_retry())
         options.update(overrides)
-        return SupervisionPolicy(**options)
+        return ForkBackend().map(
+            task_fn, None, tasks, workers=workers,
+            policy=SupervisionPolicy(**options),
+        )
 
     def test_all_ok(self):
-        outcome = supervise(
-            range(5), lambda task, attempt: task * task, workers=2,
-            policy=self._policy(),
+        outcome = self._map(
+            lambda payload, task, attempt: task * task, range(5), workers=2
         )
         assert outcome.results == {i: i * i for i in range(5)}
         assert outcome.failed == {}
         assert outcome.retries == 0
 
     def test_exception_retried_then_ok(self):
-        def task_fn(task, attempt):
+        def task_fn(payload, task, attempt):
             if task == 1 and attempt == 0:
                 raise ValueError("transient")
             return task
 
         with telemetry.capture() as session:
-            outcome = supervise(
-                range(3), task_fn, workers=2, policy=self._policy()
-            )
+            outcome = self._map(task_fn, range(3), workers=2)
         assert outcome.results == {0: 0, 1: 1, 2: 2}
         assert outcome.retries == 1
         assert session.counters["resilience.worker_exception"] == 1
@@ -219,39 +224,35 @@ class TestSupervise:
         assert (event["task"], event["kind"]) == (1, "exception")
 
     def test_crash_retried_then_ok(self):
-        def task_fn(task, attempt):
+        def task_fn(payload, task, attempt):
             if task == 0 and attempt == 0:
                 os._exit(23)
             return task
 
         with telemetry.capture() as session:
-            outcome = supervise(
-                range(2), task_fn, workers=2, policy=self._policy()
-            )
+            outcome = self._map(task_fn, range(2), workers=2)
         assert outcome.results == {0: 0, 1: 1}
         assert session.counters["resilience.worker_crash"] == 1
 
     def test_hang_terminated_and_retried(self):
-        def task_fn(task, attempt):
+        def task_fn(payload, task, attempt):
             if task == 0 and attempt == 0:
                 time.sleep(60)
             return task
 
         with telemetry.capture() as session:
-            outcome = supervise(
-                range(2), task_fn, workers=2,
-                policy=self._policy(timeout_s=0.5, term_grace_s=1.0),
+            outcome = self._map(
+                task_fn, range(2), workers=2, timeout_s=0.5, term_grace_s=1.0
             )
         assert outcome.results == {0: 0, 1: 1}
         assert session.counters["resilience.worker_hang"] == 1
 
     def test_exhausted_task_lands_in_failed(self):
-        def task_fn(task, attempt):
+        def task_fn(payload, task, attempt):
             raise RuntimeError(f"always broken {task}")
 
-        outcome = supervise(
-            [7], task_fn, workers=1,
-            policy=self._policy(retry=no_sleep_retry(max_retries=1)),
+        outcome = self._map(
+            task_fn, [7], workers=1, retry=no_sleep_retry(max_retries=1)
         )
         assert outcome.results == {}
         failure = outcome.failed[7]
@@ -262,22 +263,23 @@ class TestSupervise:
         assert len(failure.digest) == 12
 
     def test_crash_failure_reports_exit_code(self):
-        def task_fn(task, attempt):
+        def task_fn(payload, task, attempt):
             os._exit(23)
 
-        outcome = supervise(
-            [0], task_fn, workers=1,
-            policy=self._policy(retry=no_sleep_retry(max_retries=0)),
+        outcome = self._map(
+            task_fn, [0], workers=1, retry=no_sleep_retry(max_retries=0)
         )
         failure = outcome.failed[0]
         assert failure.kind == "crash"
         assert "23" in failure.message
 
     def test_state_travels_by_fork_inheritance(self):
-        # The closure's captured state must reach children un-pickled.
-        payload = {"big": list(range(100))}
-        outcome = supervise(
-            [0], lambda task, attempt: len(payload["big"]), workers=1,
-            policy=self._policy(),
+        # The closure's captured state must reach children un-pickled:
+        # a lock could not be pickled, yet the worker still reads it.
+        lock = threading.Lock()
+        state = {"big": list(range(100))}
+        outcome = self._map(
+            lambda payload, task, attempt: (len(state["big"]), lock.locked()),
+            [0], workers=1,
         )
-        assert outcome.results == {0: 100}
+        assert outcome.results == {0: (100, False)}

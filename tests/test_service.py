@@ -448,17 +448,16 @@ class TestAccountingSurvivesRestart:
 
 
 class TestPriorityScheduling:
-    def test_v1_requests_still_accepted_at_default_priority(self, daemon):
+    def test_v1_and_v2_requests_rejected(self, daemon):
         client, _ = daemon()
         from repro.service.protocol import submit_request
 
-        message = submit_request(tiny_spec().to_dict(), tenant="old")
-        message["schema"] = "repro.service/1"
-        del message["priority"]
-        events = list(client.request_iter(message))
-        assert events[0]["event"] == "accepted"
-        assert events[0]["priority"] == 0
-        assert events[-1]["event"] == "done"
+        for schema in ("repro.service/1", "repro.service/2"):
+            message = submit_request(tiny_spec().to_dict(), tenant="old")
+            message["schema"] = schema
+            events = list(client.request_iter(message))
+            assert [event["event"] for event in events] == ["error"]
+            assert events[0]["code"] == "protocol"
 
     def test_bad_priority_rejected(self, daemon):
         client, _ = daemon()

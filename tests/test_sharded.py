@@ -34,7 +34,7 @@ from repro.faultsim import (
     sharded_coverage,
 )
 from repro.faultsim.coverage import CoverageReport
-from repro.faultsim import sharded as sharded_module
+from repro.exec import ForkBackend
 from repro.atpg import generate_tests
 from repro.scan import full_scan_flow, insert_scan, schedule_scan_tests
 
@@ -176,7 +176,9 @@ class TestCombinationalDeterminism:
 
     def test_inprocess_fallback_matches(self, monkeypatch):
         """Pinned fork backend, no fork support => in-process, same result."""
-        monkeypatch.setattr(sharded_module, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            ForkBackend, "available", classmethod(lambda cls: False)
+        )
         circuit = c17()
         faults = collapse_faults(circuit)
         patterns = random_patterns(circuit, 8, seed=5)
@@ -192,7 +194,9 @@ class TestCombinationalDeterminism:
 
     def test_auto_backend_uses_spawn_when_fork_unavailable(self, monkeypatch):
         """Spawn-only platforms get a real pool, not silent degradation."""
-        monkeypatch.setattr(sharded_module, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            ForkBackend, "available", classmethod(lambda cls: False)
+        )
         circuit = c17()
         faults = collapse_faults(circuit)
         patterns = random_patterns(circuit, 8, seed=5)
@@ -203,10 +207,7 @@ class TestCombinationalDeterminism:
             circuit, Engine.PARALLEL_PATTERN, faults=faults, workers=2,
             shards=2,
         )
-        try:
-            assert simulator.run(patterns) == single
-        finally:
-            simulator.close()
+        assert simulator.run(patterns) == single
         assert simulator.stats["mode"] == "spawn"
         assert simulator.workers_section()["backend"] == "spawn"
         assert simulator.workers_section()["reason"] is None
@@ -452,7 +453,9 @@ class TestFallbackObservability:
     def test_fork_unavailable_fallback_is_counted_with_reason(
         self, monkeypatch
     ):
-        monkeypatch.setattr(sharded_module, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            ForkBackend, "available", classmethod(lambda cls: False)
+        )
         simulator = ShardedFaultSimulator(
             self.circuit, workers=2, backend="fork"
         )
@@ -490,7 +493,9 @@ class TestFallbackObservability:
         assert quiet.failures_section() is None
 
     def test_fallbacks_reach_flow_manifests(self, monkeypatch):
-        monkeypatch.setattr(sharded_module, "fork_available", lambda: False)
+        monkeypatch.setattr(
+            ForkBackend, "available", classmethod(lambda cls: False)
+        )
         result = generate_tests(
             self.circuit, random_phase=4, workers=2, backend="fork"
         )
@@ -579,14 +584,11 @@ class TestBackendMatrix:
         simulator = ShardedFaultSimulator(
             circuit, workers=2, backend="thread-lane"
         )
-        try:
-            simulator.run(patterns)
-            section = simulator.workers_section()
-            assert section["mode"] == "thread-lane"
-            assert section["backend"] == "thread-lane"
-            assert section["reason"] is None
-        finally:
-            simulator.close()
+        simulator.run(patterns)
+        section = simulator.workers_section()
+        assert section["mode"] == "thread-lane"
+        assert section["backend"] == "thread-lane"
+        assert section["reason"] is None
 
     def test_inline_backend_is_explicit_sequential_execution(self):
         # Inline is a real backend choice, not a fallback: no fallback
