@@ -7,18 +7,19 @@ long-running multi-tenant campaign daemon (:mod:`repro.service`):
 ``python -m repro campaign run [--spec FILE] [--store DIR] [--workers N]``
     Run (or resume) a campaign.  Without ``--spec`` the built-in demo
     spec runs.  Every cell is memoized through the result store, so a
-    warm re-run does zero fault-simulation work; an interrupted run
-    resumes from its checkpoint.  Each cell runs under a retry budget
-    (``--retries``); what happens when a cell *keeps* failing is
-    chosen by ``--failure-policy`` (default ``raise``).  Exit code 0
-    means every processed cell completed; 2 means the campaign
-    finished but some cells failed permanently (recorded in the
-    checkpoint and the manifest's ``failures`` section, re-attempted
-    on the next run).
+    warm re-run does zero fault-simulation work and an interrupted run
+    resumes by recomputing only the cells missing from the store.
+    Each cell runs under a retry budget (``--retries``); what happens
+    when a cell *keeps* failing is chosen by ``--failure-policy``
+    (default ``raise``).  Exit code 0 means every processed cell
+    completed; 2 means the campaign finished but some cells failed
+    permanently (recorded in the manifest's ``failures`` section,
+    re-attempted on the next run).
 
 ``python -m repro campaign status [--spec FILE] [--store DIR]``
-    Show completed/pending/failed cells from the checkpoint without
-    running (a corrupt checkpoint is rebuilt from the store).
+    Show completed/pending/failed cells without running: a cell is
+    completed when its artifact is in the store; failed cells come
+    from the last run's manifest.
 
 ``python -m repro campaign clean [--store DIR] [--spec FILE] [--purge-store]``
     Evict this campaign's own artifacts and drop its state files.
@@ -34,8 +35,9 @@ long-running multi-tenant campaign daemon (:mod:`repro.service`):
     by LRU eviction under ``--size-budget``.  Accepted jobs are
     journaled to ``<store>/jobs.jsonl`` before the ack and recovered
     on restart (``--no-journal`` opts out).  SIGTERM/SIGINT drain the
-    queue and exit 0; an unreadable jobs journal exits 3 (recovery
-    would be silently broken — fix or remove the journal).  The
+    queue and exit 0; an unreadable jobs journal or tenant ledger
+    exits 3 (recovery or quotas would be silently broken — fix or
+    remove the file).  The
     ``--chaos-*`` flags arm the seeded daemon chaos harness
     (:class:`repro.resilience.ChaosConfig`) for recovery testing.
 """
@@ -57,8 +59,8 @@ exit codes:
   0  every processed cell completed (possibly from cache)
   1  fatal error (bad spec, or a cell failed under --failure-policy raise)
   2  partial failure: campaign finished, but one or more cells failed
-     permanently; they are recorded in the checkpoint and the manifest
-     'failures' section and will be re-attempted on the next run
+     permanently; they are recorded in the manifest 'failures' section
+     and will be re-attempted on the next run
 """
 
 
@@ -137,7 +139,9 @@ def build_parser() -> argparse.ArgumentParser:
         "failure and continue (exit 2); default: raise",
     )
 
-    status = actions.add_parser("status", help="show checkpoint progress")
+    status = actions.add_parser(
+        "status", help="show progress read from the store"
+    )
     _add_common(status)
 
     clean = actions.add_parser(
@@ -234,14 +238,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default: unlimited)",
     )
     serve.add_argument(
-        "--index-max-bytes",
-        type=int,
-        default=1 << 20,
-        metavar="BYTES",
-        help="rotate the store's index.jsonl journal past this size "
-        "(default: 1 MiB)",
-    )
-    serve.add_argument(
         "--quarantine-max-files",
         type=int,
         default=64,
@@ -254,14 +250,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="disable the jobs journal: accepted jobs are not durable "
         "and a daemon crash loses them (default: journal to "
         "<store>/jobs.jsonl and recover open jobs on start)",
-    )
-    serve.add_argument(
-        "--journal-max-bytes",
-        type=int,
-        default=1 << 20,
-        metavar="BYTES",
-        help="rotate <store>/jobs.jsonl past this size, compacting "
-        "open jobs into a snapshot line (default: 1 MiB)",
     )
     serve.add_argument(
         "--job-history",
@@ -352,11 +340,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             failure_policy=args.failure_policy,
             size_budget_bytes=args.size_budget,
             tenant_quota_bytes=args.tenant_quota,
-            index_max_bytes=args.index_max_bytes,
             quarantine_max_files=args.quarantine_max_files,
             ready_file=ready_file,
             job_journal=not args.no_journal,
-            journal_max_bytes=max(4096, args.journal_max_bytes),
             job_history=max(1, args.job_history),
             cell_deadline_s=args.cell_deadline,
         )
@@ -399,7 +385,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if result.completed < result.total:
             print(
                 f"[campaign] {result.total - result.completed} cell(s) "
-                "pending — re-run to resume from the checkpoint"
+                "pending — re-run to compute what the store lacks"
             )
         if result.failures:
             for record in result.failures:
@@ -410,7 +396,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 )
             print(
                 f"[campaign] {len(result.failures)} cell(s) failed "
-                "permanently — recorded in the checkpoint, re-attempted "
+                "permanently — recorded in the manifest, re-attempted "
                 "on the next run"
             )
             return 2

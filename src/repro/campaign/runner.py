@@ -12,10 +12,11 @@ each cell.  Each cell is memoized through the content-addressed
   is served from disk, visible in the campaign manifest as
   ``store.hit == cells`` and the complete absence of ``atpg.*`` /
   fault-sim counters;
-* an **interrupted** cold run resumes where it stopped — the
-  checkpoint file (updated atomically after every cell) records
-  completed cells, and re-running recomputes only the missing ones
-  (the completed prefix comes back as store hits).
+* an **interrupted** cold run resumes where it stopped — the store is
+  the only record of finished cells, so re-running recomputes only
+  the cells whose artifacts are missing (the rest come back as store
+  hits), and :meth:`CampaignRunner.status` counts progress by probing
+  the store for each cell's key.
 
 Every run (re)writes three files under
 ``<store>/campaigns/<name>/``: ``summary.txt`` (deterministic table,
@@ -29,24 +30,20 @@ store's hit/miss/quarantine behaviour).
 under a bounded retry budget with jittered backoff; a cell that keeps
 failing is handled per :class:`~repro.resilience.FailurePolicy` —
 ``raise`` (default) propagates, ``quarantine``/``degrade`` record a
-:class:`~repro.resilience.FailureRecord` in the checkpoint's
-``failed`` map and the manifest's validated ``failures`` section and
-move on.  Failed cells are re-attempted on every resume.  A truncated
-or corrupt checkpoint never loses progress: completed cells are
-rebuilt by probing the content-addressed store
-(``campaign.checkpoint.rebuilt``).
+:class:`~repro.resilience.FailureRecord` in the manifest's validated
+``failures`` section and move on.  Failed cells are re-attempted on
+every resume; ``status`` reports as failed the cells the last run's
+manifest lists that are still missing from the store.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import shutil
-import tempfile
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Set, Tuple, Union
 
 from .. import telemetry
 from ..netlist.circuit import Circuit
@@ -60,6 +57,7 @@ from ..resilience import (
     failure_record,
 )
 from ..store import ResultStore
+from ..store.store import write_atomic
 from ..store.codecs import (
     KIND_CAMPAIGN_CELL,
     decode_manifest,
@@ -72,8 +70,6 @@ from ..store.codecs import (
 from .spec import CampaignCell, CampaignSpec, build_workload
 
 __all__ = ["CellResult", "CampaignResult", "CampaignRunner"]
-
-CHECKPOINT_SCHEMA = "repro.campaign-checkpoint/1"
 
 #: spec.params keys forwarded to generate_tests (atpg cells).
 _ATPG_PARAMS = ("method", "random_phase", "backtrack_limit", "compact",
@@ -351,95 +347,9 @@ class CampaignRunner:
         self.failure_policy = FailurePolicy.coerce(failure_policy)
         self.chaos = chaos
         self.state_dir = self.store.root / "campaigns" / spec.name
-        self.checkpoint_path = self.state_dir / "checkpoint.json"
         self.summary_path = self.state_dir / "summary.txt"
         self.jsonl_path = self.state_dir / "cells.jsonl"
         self.manifest_path = self.state_dir / "manifest.json"
-        self._checkpoint_seq = 0
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def _load_checkpoint(self) -> Tuple[Dict[str, str], Dict[str, Any], str]:
-        """Raw checkpoint state: ``(completed, failed, status)``.
-
-        ``completed`` maps ``cell_id -> key``; ``failed`` maps
-        ``cell_id ->`` failure-record dict from a prior run.  ``status``
-        distinguishes *why* the maps may be empty: ``"ok"`` (valid
-        checkpoint), ``"missing"`` (no file — a fresh campaign),
-        ``"mismatch"`` (valid file for a different spec — also fresh),
-        or ``"corrupt"`` (a file exists but is truncated, unparseable,
-        or the wrong schema — progress can be rebuilt from the store).
-        """
-        try:
-            with open(self.checkpoint_path, "r", encoding="utf-8") as stream:
-                data = json.load(stream)
-        except FileNotFoundError:
-            return {}, {}, "missing"
-        except (OSError, ValueError):
-            return {}, {}, "corrupt"
-        if (
-            not isinstance(data, dict)
-            or data.get("schema") != CHECKPOINT_SCHEMA
-            or not isinstance(data.get("completed", {}), dict)
-        ):
-            return {}, {}, "corrupt"
-        if data.get("spec") != self.spec.to_dict():
-            return {}, {}, "mismatch"
-        completed = dict(data.get("completed", {}))
-        failed = data.get("failed", {})
-        failed = dict(failed) if isinstance(failed, dict) else {}
-        return completed, failed, "ok"
-
-    def _load_state(
-        self, cells: List[CampaignCell]
-    ) -> Tuple[Dict[str, str], Dict[str, Any]]:
-        """Checkpoint state, recovered from the store when corrupt.
-
-        The checkpoint is a convenience cache of progress; the
-        content-addressed store is the source of truth.  When the
-        checkpoint file exists but cannot be trusted (truncated write,
-        bit rot), completed cells are rediscovered by probing the store
-        for each cell's key — no finished work is ever lost to a bad
-        checkpoint.  The rebuild is counted
-        (``campaign.checkpoint.rebuilt``) so it surfaces in the run
-        manifest.
-        """
-        completed, failed, status = self._load_checkpoint()
-        if status == "corrupt":
-            telemetry.incr("campaign.checkpoint.rebuilt")
-            for cell in cells:
-                key = cell_cache_key(cell, self.spec.params)
-                if self.store.contains(key):
-                    completed[cell.cell_id] = key
-        return completed, failed
-
-    def _write_checkpoint(
-        self,
-        completed: Dict[str, str],
-        total: int,
-        failed: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        """Atomically persist progress after every cell."""
-        self.state_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "schema": CHECKPOINT_SCHEMA,
-            "spec": self.spec.to_dict(),
-            "total": total,
-            "completed": completed,
-            "failed": dict(failed) if failed else {},
-        }
-        fd, temp_name = tempfile.mkstemp(
-            prefix=".checkpoint.", suffix=".tmp", dir=str(self.state_dir)
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            json.dump(payload, stream, sort_keys=True, indent=1)
-        os.replace(temp_name, self.checkpoint_path)
-        self._checkpoint_seq += 1
-        if self.chaos is not None:
-            self.chaos.maybe_corrupt_checkpoint(
-                self.checkpoint_path, self._checkpoint_seq
-            )
 
     # ------------------------------------------------------------------
     # Execution
@@ -505,43 +415,38 @@ class CampaignRunner:
         """Run (or resume) the campaign; ``limit`` caps cells this call.
 
         Cells already in the store come back as hits with zero
-        fault-simulation work; the rest are computed and stored.  The
-        checkpoint is rewritten after *every* cell, so killing the
+        fault-simulation work; the rest are computed and stored.  Each
+        artifact is stored the moment its cell finishes, so killing the
         process at any point loses at most the in-flight cell.  Cells
-        recorded as failed by a previous run are re-attempted; cells
-        that fail permanently this run are reported in
+        that failed in a previous run are re-attempted; cells that fail
+        permanently this run are reported in
         :attr:`CampaignResult.failures` (empty means every processed
         cell completed).
         """
         cells, skipped = self.spec.expand()
         results: List[CellResult] = []
         failures: List[FailureRecord] = []
-        hits = misses = processed = 0
+        keys: List[str] = []
+        hits = misses = 0
         self.state_dir.mkdir(parents=True, exist_ok=True)
         with telemetry.capture() as session:
             with telemetry.span(
                 "campaign.run", campaign=self.spec.name, workers=self.workers
             ):
-                completed, failed_map = self._load_state(cells)
                 with open(
                     self.jsonl_path, "w", encoding="utf-8"
                 ) as jsonl, telemetry.timed("campaign.phase.cells"):
                     for cell in cells:
-                        if limit is not None and processed >= limit:
+                        if limit is not None and len(keys) >= limit:
                             break
-                        processed += 1
                         circuit = build_workload(cell.workload)
                         key = cell_cache_key(cell, self.spec.params, circuit)
+                        keys.append(key)
                         result, cached, failure = self._run_cell(
                             cell, circuit, key
                         )
                         if failure is not None:
                             failures.append(failure)
-                            failed_map[cell.cell_id] = failure.to_dict()
-                            completed.pop(cell.cell_id, None)
-                            self._write_checkpoint(
-                                completed, len(cells), failed_map
-                            )
                             continue
                         result.cached = cached
                         if cached:
@@ -549,18 +454,23 @@ class CampaignRunner:
                         else:
                             misses += 1
                         results.append(result)
-                        completed[cell.cell_id] = key
-                        failed_map.pop(cell.cell_id, None)
-                        self._write_checkpoint(completed, len(cells), failed_map)
                         jsonl.write(self._jsonl_row(result))
                         jsonl.write("\n")
                         jsonl.flush()
+                # The store is the only record of finished cells; cells
+                # past ``limit`` count when an earlier run stored them.
+                processed = len(keys)
+                keys += [
+                    cell_cache_key(cell, self.spec.params)
+                    for cell in cells[processed:]
+                ]
+                completed = sum(map(self.store.contains, keys))
                 with telemetry.timed("campaign.phase.summary"):
                     summary = render_summary(
                         self.spec, results, skipped, len(cells),
                         failed=len(failures),
                     )
-                    self._write_text(self.summary_path, summary)
+                    write_atomic(self.summary_path, summary)
         manifest = telemetry.RunManifest(
             flow="campaign.run",
             circuit=self.spec.name,
@@ -586,7 +496,7 @@ class CampaignRunner:
                 "cells": len(cells),
                 "skipped": len(skipped),
                 "processed": processed,
-                "completed": len(completed),
+                "completed": completed,
                 "failed": len(failures),
                 "hits": hits,
                 "misses": misses,
@@ -595,7 +505,7 @@ class CampaignRunner:
             },
             failures=[record.to_dict() for record in failures] or None,
         ).validate()
-        self._write_text(self.manifest_path, manifest.to_json(indent=2) + "\n")
+        write_atomic(self.manifest_path, manifest.to_json(indent=2) + "\n")
         return CampaignResult(
             spec=self.spec,
             results=results,
@@ -604,7 +514,7 @@ class CampaignRunner:
             summary=summary,
             hits=hits,
             misses=misses,
-            completed=len(completed),
+            completed=completed,
             total=len(cells),
             failures=failures,
         )
@@ -625,40 +535,49 @@ class CampaignRunner:
         }
         return json.dumps(row, sort_keys=True)
 
-    def _write_text(self, path: Path, text: str) -> None:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            prefix=f".{path.stem}.", suffix=".tmp", dir=str(path.parent)
-        )
-        with os.fdopen(fd, "w", encoding="utf-8") as stream:
-            stream.write(text)
-        os.replace(temp_name, path)
-
     # ------------------------------------------------------------------
     # Status / clean
     # ------------------------------------------------------------------
     def status(self) -> Dict[str, Any]:
-        """Progress snapshot from the checkpoint (no execution).
+        """Progress snapshot read from the store (no execution).
 
-        A corrupt checkpoint is transparently rebuilt from the store,
-        exactly as :meth:`run` would; ``failed`` lists the cells a
-        prior run recorded as permanently failed (they will be
+        A cell is completed when its artifact is in the store, however
+        it got there; ``failed`` lists the pending cells that the last
+        run's manifest recorded as permanently failed (they will be
         re-attempted on the next ``run``).
         """
         cells, skipped = self.spec.expand()
-        completed, failed_map = self._load_state(cells)
-        done = [c.cell_id for c in cells if c.cell_id in completed]
-        pending = [c.cell_id for c in cells if c.cell_id not in completed]
+        failed_keys = self._failed_keys()
+        pending: List[str] = []
+        failed: List[str] = []
+        for cell in cells:
+            key = cell_cache_key(cell, self.spec.params)
+            if not self.store.contains(key):
+                pending.append(cell.cell_id)
+                if key in failed_keys:
+                    failed.append(cell.cell_id)
         return {
             "campaign": self.spec.name,
             "total": len(cells),
-            "completed": len(done),
+            "completed": len(cells) - len(pending),
             "pending": pending,
-            "failed": sorted(failed_map),
+            "failed": sorted(failed),
             "skipped": len(skipped),
             "store_entries": len(self.store),
             "store_root": str(self.store.root),
         }
+
+    def _failed_keys(self) -> Set[str]:
+        """Cache keys of the cells the last run's manifest lists as failed.
+
+        A missing or torn manifest lists none: it reports the last run,
+        and no later run depends on it.
+        """
+        try:
+            manifest = json.loads(self.manifest_path.read_text(encoding="utf-8"))
+        except (OSError, ValueError):
+            return set()
+        return {row["detail"]["key"] for row in manifest.get("failures") or ()}
 
     def campaign_keys(self) -> List[str]:
         """Cache keys of every runnable cell in this campaign's spec."""

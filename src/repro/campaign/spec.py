@@ -84,7 +84,7 @@ class CampaignCell:
 
     @property
     def cell_id(self) -> str:
-        """Stable human-readable identity used in checkpoints/JSONL."""
+        """Stable human-readable identity used in status and JSONL."""
         return (
             f"{self.workload}:{self.flow}:{self.engine}:"
             f"{self.fault_model}:{self.seed}"

@@ -15,7 +15,7 @@ design* — applied to this repo's own execution stack.  Three layers:
   results plus crash/hang/exception failures out;
 * :mod:`~repro.resilience.chaos` — :class:`ChaosConfig`, the seeded
   chaos harness that injects worker crashes/hangs/exceptions, poisoned
-  faults and cells, store/checkpoint corruption, and the service
+  faults and cells, store-artifact corruption, and the service
   daemon's own failure modes (dropped client connections, killed/hung
   lane workers, SIGKILL between cells, torn journal tails), proving
   end-to-end (``tests/test_chaos.py``, ``tests/test_service_recovery

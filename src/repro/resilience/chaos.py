@@ -18,9 +18,8 @@ Fault kinds:
 * **poisoned faults / cells** — a named fault or campaign cell fails
   *deterministically*, in workers and in-process alike (exercises
   bisection and quarantine, the paths retries cannot heal);
-* **file corruption** — a just-written store artifact or campaign
-  checkpoint is truncated mid-JSON (the reader must quarantine or
-  rebuild, never crash);
+* **file corruption** — a just-written store artifact is truncated
+  mid-JSON (the reader must quarantine and recompute, never crash);
 * **service faults** (the ``repro.service`` daemon's own failure
   modes): a client connection dropped mid-stream (the client must
   resume by ``job_id`` + last-seen ``seq``), a lane's cell worker
@@ -136,7 +135,6 @@ class ChaosConfig:
     hang_rate: float = 0.0
     exception_rate: float = 0.0
     corrupt_store_rate: float = 0.0
-    corrupt_checkpoint_rate: float = 0.0
     hang_s: float = 30.0
     first_attempt_only: bool = True
     poison_faults: Tuple[str, ...] = ()
@@ -229,22 +227,6 @@ class ChaosConfig:
         if cell_id in self.poison_cells:
             raise PoisonedFaultError(f"poisoned cell {cell_id}")
 
-    def maybe_corrupt(
-        self, site: str, path: Union[str, Path], rate: float, attempt: int = 0
-    ) -> bool:
-        """Corrupt ``path`` with probability ``rate`` for this site.
-
-        Returns True when corruption was injected (also counted as
-        ``chaos.corrupted`` so harness activity is observable).
-        """
-        if self.first_attempt_only and attempt > 0:
-            return False
-        if not rate or self._rng(f"corrupt:{site}", attempt).random() >= rate:
-            return False
-        corrupt_json_file(path, seed=self.seed)
-        telemetry.incr("chaos.corrupted")
-        return True
-
     # ------------------------------------------------------------------
     # Service (daemon) faults
     # ------------------------------------------------------------------
@@ -316,17 +298,15 @@ class ChaosConfig:
         return False
 
     def maybe_corrupt_store(self, key: str, path: Union[str, Path]) -> bool:
-        """Store-artifact corruption hook (rate ``corrupt_store_rate``)."""
-        return self.maybe_corrupt(f"store:{key[:12]}", path, self.corrupt_store_rate)
+        """Truncate a just-written artifact with probability
+        ``corrupt_store_rate``, decided per key.
 
-    def maybe_corrupt_checkpoint(
-        self, path: Union[str, Path], sequence: int
-    ) -> bool:
-        """Checkpoint corruption hook (rate ``corrupt_checkpoint_rate``).
-
-        ``sequence`` is the write number, so each of a campaign's many
-        checkpoint rewrites rolls its own independent dice.
+        Returns True when corruption was injected (also counted as
+        ``chaos.corrupted`` so harness activity is observable).
         """
-        return self.maybe_corrupt(
-            f"checkpoint:{sequence}", path, self.corrupt_checkpoint_rate
-        )
+        rate = self.corrupt_store_rate
+        if not rate or self._rng(f"corrupt:store:{key[:12]}", 0).random() >= rate:
+            return False
+        corrupt_json_file(path, seed=self.seed)
+        telemetry.incr("chaos.corrupted")
+        return True

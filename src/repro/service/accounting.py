@@ -3,10 +3,10 @@
 PR 8's byte quotas lived in a daemon-local dict, so a SIGTERM (deploy,
 host reboot) reset every tenant to zero — a tenant at its quota could
 simply wait for the next restart.  :class:`TenantLedger` journals
-every charge to ``<store>/tenants.jsonl`` (one JSON line per event,
-same append-and-rotate machinery as the store's ``index.jsonl``) and
-replays the journal on daemon start, so usage picks up exactly where
-the previous daemon left off.
+every charge to ``<store>/tenants.jsonl`` (one JSON line per event, an
+:class:`~repro.store.store.AppendLog` like ``jobs.jsonl`` and the
+store's ``index.jsonl``) and replays the journal on daemon start, so
+usage picks up exactly where the previous daemon left off.
 
 Journal lines::
 
@@ -14,29 +14,31 @@ Journal lines::
     {"op": "snapshot", "tenants": {tenant: bytes, ...}}
 
 Rotation compacts rather than discards: when the journal passes
-``max_bytes`` it is renamed to ``tenants.jsonl.1`` (replacing any
-previous rotation) and the fresh journal opens with a single
-``snapshot`` line carrying the full current state — so disk use stays
-bounded at ~2x the threshold and a replay never needs the rotated
-file.  Replay reads the newest file that exists (current journal,
-else the rotation), applying the last snapshot then every charge
-after it.
+:data:`~repro.store.store.LOG_ROTATE_BYTES` it is renamed to
+``tenants.jsonl.1`` (replacing any previous rotation) and the fresh
+journal opens with a single ``snapshot`` line carrying the full
+current state — so disk use stays bounded at ~2x the limit and a
+replay never needs the rotated file.  Replay reads the newest file
+that exists (current journal, else the rotation), applying the last
+snapshot then every charge after it.
 
 Journal write failures are swallowed (quotas degrade to session-local
-accounting rather than taking the service down); replay failures on a
-corrupt line — e.g. a tail torn by power loss mid-append — skip that
-line, counted as ``service.ledger.torn`` and surfaced on
-:attr:`TenantLedger.torn_lines`.
+accounting rather than taking the service down); replay skips a
+corrupt line — e.g. a tail torn by power loss mid-append — counted as
+``service.ledger.torn`` and surfaced on :attr:`TenantLedger.torn_lines`.
+A journal that exists but cannot be read raises
+:class:`~repro.service.journal.JobJournalError` (``python -m repro
+serve`` exits 3) instead of restarting every tenant at zero.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Dict, Union
 
 from .. import telemetry
+from ..store.store import AppendLog
+from .journal import JobJournalError
 
 __all__ = ["TenantLedger", "TENANTS_JOURNAL"]
 
@@ -47,48 +49,32 @@ TENANTS_JOURNAL = "tenants.jsonl"
 class TenantLedger:
     """Durable tenant -> charged-bytes map backed by a JSONL journal."""
 
-    def __init__(self, root: Union[str, Path],
-                 max_bytes: int = 1 << 20) -> None:
+    def __init__(self, root: Union[str, Path]) -> None:
         self.root = Path(root)
         self.path = self.root / TENANTS_JOURNAL
-        self.max_bytes = int(max_bytes)
         self.tenant_bytes: Dict[str, int] = {}
         #: Unparseable journal lines skipped during replay (torn tail).
         self.torn_lines = 0
+        self._log = AppendLog(self.path)
         self._load()
 
     # -- replay --------------------------------------------------------
     def _load(self) -> None:
         """Rebuild the in-memory map from the newest journal on disk."""
-        path = self.path
-        if not path.exists():
-            rotated = path.parent / (path.name + ".1")
-            if not rotated.exists():
-                return
-            path = rotated
         try:
-            with open(path, "r", encoding="utf-8") as stream:
-                lines = stream.readlines()
-        except OSError:
-            return
+            entries, torn = self._log.replay()
+        except OSError as exc:
+            raise JobJournalError(
+                f"tenant ledger exists but cannot be read: {exc}"
+            ) from exc
+        if torn:
+            # Torn write (classic crash mid-append); later lines still
+            # apply.  Count it — silent data loss is how quota drift
+            # goes unnoticed.
+            self.torn_lines += torn
+            telemetry.incr("service.ledger.torn", torn)
         state: Dict[str, int] = {}
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                # Torn write (classic crash mid-append); later lines
-                # still apply.  Count it — silent data loss is how
-                # quota drift goes unnoticed.
-                self.torn_lines += 1
-                telemetry.incr("service.ledger.torn")
-                continue
-            if not isinstance(entry, dict):
-                self.torn_lines += 1
-                telemetry.incr("service.ledger.torn")
-                continue
+        for entry in entries:
             op = entry.get("op")
             if op == "snapshot" and isinstance(entry.get("tenants"), dict):
                 state = {
@@ -120,9 +106,18 @@ class TenantLedger:
         The journal line is appended *before* the in-memory update: a
         rotation snapshot taken during the append must capture the
         state without this charge, or replaying snapshot + charge line
-        would double-count it.
+        would double-count it.  Journal I/O errors are swallowed — the
+        in-memory map is the running daemon's source of truth.
         """
-        self._append({"op": "charge", "tenant": tenant, "bytes": int(amount)})
+        try:
+            self.root.mkdir(parents=True, exist_ok=True)
+            if self._log.append(
+                {"op": "charge", "tenant": tenant, "bytes": int(amount)},
+                lambda: {"op": "snapshot", "tenants": dict(self.tenant_bytes)},
+            ):
+                telemetry.incr("service.ledger.rotated")
+        except OSError:
+            pass
         total = self.tenant_bytes.get(tenant, 0) + int(amount)
         self.tenant_bytes[tenant] = total
         return total
@@ -130,37 +125,3 @@ class TenantLedger:
     def snapshot(self) -> Dict[str, int]:
         """Copy of the full tenant -> bytes map (for status/manifest)."""
         return dict(self.tenant_bytes)
-
-    # -- journal -------------------------------------------------------
-    def _append(self, entry: Dict[str, int]) -> None:
-        """Append one journal line, rotating past ``max_bytes``.
-
-        Mirrors ``ResultStore._index``: the in-memory map is the
-        source of truth for the running daemon, so journal I/O errors
-        are swallowed — accounting degrades to session-local instead
-        of failing the request.
-        """
-        try:
-            try:
-                if self.path.stat().st_size >= self.max_bytes:
-                    os.replace(
-                        self.path, self.path.parent / (self.path.name + ".1")
-                    )
-                    telemetry.incr("service.ledger.rotated")
-                    # Seed the fresh journal with the full state so a
-                    # replay never needs the rotated file.
-                    with open(self.path, "a", encoding="utf-8") as stream:
-                        stream.write(json.dumps(
-                            {"op": "snapshot",
-                             "tenants": dict(self.tenant_bytes)},
-                            sort_keys=True,
-                        ))
-                        stream.write("\n")
-            except FileNotFoundError:
-                pass
-            self.root.mkdir(parents=True, exist_ok=True)
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(entry, sort_keys=True))
-                stream.write("\n")
-        except OSError:
-            pass

@@ -10,18 +10,20 @@ journal, and every *open* job (an ``accepted`` line with no matching
 cells that completed before the crash are content-addressed store
 hits, so recovery only pays for the work the crash actually lost.
 
-Journal lines (same append-and-rotate machinery as ``tenants.jsonl``)::
+Journal lines (an :class:`~repro.store.store.AppendLog`, like
+``tenants.jsonl`` and the store's ``index.jsonl``)::
 
     {"op": "accepted", "n": int, "job": {job_id, tenant, priority,
                                          return_payloads, spec}}
     {"op": "done", "job_id": str}
     {"op": "snapshot", "next_job": int, "jobs": [open job records]}
 
-Rotation compacts rather than discards: past ``max_bytes`` the journal
-is renamed to ``jobs.jsonl.1`` and the fresh file opens with one
-``snapshot`` line carrying every still-open job plus the job-number
-watermark, so a replay never needs the rotated file and completed
-jobs' lines are garbage-collected by the same move.
+Rotation compacts rather than discards: past
+:data:`~repro.store.store.LOG_ROTATE_BYTES` the journal is renamed to
+``jobs.jsonl.1`` and the fresh file opens with one ``snapshot`` line
+carrying every still-open job plus the job-number watermark, so a
+replay never needs the rotated file and completed jobs' lines are
+garbage-collected by the same move.
 
 Replay is torn-tail tolerant: a line that fails to parse (the classic
 power-loss mid-append) is *skipped* with a telemetry counter
@@ -39,12 +41,11 @@ degrades to session-local job tracking rather than refusing traffic.
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Optional, Union
 
 from .. import telemetry
+from ..store.store import AppendLog
 
 __all__ = ["JobJournal", "JobJournalError", "JOBS_JOURNAL"]
 
@@ -53,7 +54,9 @@ JOBS_JOURNAL = "jobs.jsonl"
 
 
 class JobJournalError(Exception):
-    """The journal exists but cannot be read — recovery is impossible."""
+    """A durable service file (``jobs.jsonl``, ``tenants.jsonl``) exists
+    but cannot be read: starting anyway would silently drop what it
+    records (open jobs, tenant quotas)."""
 
 
 def _valid_job(record: Any) -> Optional[Dict[str, Any]]:
@@ -82,13 +85,11 @@ class JobJournal:
     def __init__(
         self,
         root: Union[str, Path],
-        max_bytes: int = 1 << 20,
         enabled: bool = True,
         chaos: Optional[Any] = None,
     ) -> None:
         self.root = Path(root)
         self.path = self.root / JOBS_JOURNAL
-        self.max_bytes = int(max_bytes)
         self.enabled = bool(enabled)
         self.chaos = chaos
         #: job_id -> normalized job record, in acceptance order.
@@ -99,16 +100,11 @@ class JobJournal:
         self.rotations = 0
         self.write_failures = 0
         self._append_seq = 0
-        #: Cached journal size so the rotation check costs no stat()
-        #: per append; re-synced from disk on any write failure.
-        self._size = 0
+        self._log = AppendLog(self.path)
         if self.enabled:
             self._load()
             try:
                 self.root.mkdir(parents=True, exist_ok=True)
-                self._size = self.path.stat().st_size
-            except FileNotFoundError:
-                self._size = 0
             except OSError as exc:
                 raise JobJournalError(
                     f"jobs journal directory {self.root} is unusable: {exc}"
@@ -117,37 +113,20 @@ class JobJournal:
     # -- replay --------------------------------------------------------
     def _load(self) -> None:
         """Rebuild the open-job set from the newest journal on disk."""
-        path = self.path
-        if not path.exists():
-            rotated = path.parent / (path.name + ".1")
-            if not rotated.exists():
-                return
-            path = rotated
         try:
-            with open(path, "r", encoding="utf-8") as stream:
-                lines = stream.readlines()
+            entries, torn = self._log.replay()
         except OSError as exc:
             raise JobJournalError(
-                f"jobs journal {path} exists but cannot be read: {exc}"
+                f"jobs journal exists but cannot be read: {exc}"
             ) from exc
+        if torn:
+            # Torn tail (or mid-file bit rot): skipped, counted — restart
+            # recovery must never die on one bad line.
+            self.torn_lines += torn
+            telemetry.incr("service.journal.torn", torn)
         open_jobs: Dict[str, Dict[str, Any]] = {}
         next_job = 0
-        for line in lines:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except ValueError:
-                # Torn tail (or mid-file bit rot): skip, count, carry on
-                # — restart recovery must never die on one bad line.
-                self.torn_lines += 1
-                telemetry.incr("service.journal.torn")
-                continue
-            if not isinstance(entry, dict):
-                self.torn_lines += 1
-                telemetry.incr("service.journal.torn")
-                continue
+        for entry in entries:
             op = entry.get("op")
             if op == "accepted":
                 job = _valid_job(entry.get("job"))
@@ -213,50 +192,26 @@ class JobJournal:
 
     # -- journal -------------------------------------------------------
     def _append(self, entry: Dict[str, Any]) -> None:
-        """Append one line, rotating past ``max_bytes``.
+        """Append one line; a rotation opens with every open job.
 
-        Mirrors :class:`~repro.service.accounting.TenantLedger`: the
-        in-memory set is the running daemon's source of truth, so
+        The in-memory set is the running daemon's source of truth, so
         write errors degrade durability (counted, never raised).
         """
         if not self.enabled:
             return
         try:
-            if self._size >= self.max_bytes:
-                try:
-                    os.replace(
-                        self.path, self.path.parent / (self.path.name + ".1")
-                    )
-                except FileNotFoundError:
-                    pass
-                self.rotations += 1
-                telemetry.incr("service.journal.rotated")
-                # Seed the fresh journal with every open job so a
-                # replay never needs the rotated file; done jobs'
-                # lines are compacted away by the same move.
-                snapshot = json.dumps(
-                    {
-                        "op": "snapshot",
-                        "next_job": self.next_job_number,
-                        "jobs": list(self.open_jobs.values()),
-                    },
-                    sort_keys=True,
-                ) + "\n"
-                with open(self.path, "a", encoding="utf-8") as stream:
-                    stream.write(snapshot)
-                self._size = len(snapshot.encode("utf-8"))
-            line = json.dumps(entry, sort_keys=True) + "\n"
-            with open(self.path, "a", encoding="utf-8") as stream:
-                stream.write(line)
-            self._size += len(line.encode("utf-8"))
+            rotated = self._log.append(entry, lambda: {
+                "op": "snapshot",
+                "next_job": self.next_job_number,
+                "jobs": list(self.open_jobs.values()),
+            })
         except OSError:
             self.write_failures += 1
             telemetry.incr("service.journal.write_failed")
-            try:  # re-sync the cached size; the write may be partial
-                self._size = self.path.stat().st_size
-            except OSError:
-                self._size = 0
             return
+        if rotated:
+            self.rotations += 1
+            telemetry.incr("service.journal.rotated")
         self._append_seq += 1
         if self.chaos is not None:
             self.chaos.maybe_corrupt_journal(self.path, self._append_seq)

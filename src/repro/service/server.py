@@ -107,6 +107,7 @@ from ..exec.backends import ExecutorBackend, create_backend
 from ..resilience import ChaosConfig, FailurePolicy, RetryPolicy, failure_record
 from ..resilience.supervisor import SupervisionPolicy
 from ..store import KIND_CAMPAIGN_CELL, LifecyclePolicy, ResultStore
+from ..store.store import write_atomic
 from .accounting import TenantLedger
 from .journal import JobJournal
 from .scheduler import FairShareScheduler
@@ -188,7 +189,6 @@ class ServiceConfig:
     max_retries: int = 0
     failure_policy: Union[str, FailurePolicy] = FailurePolicy.QUARANTINE
     size_budget_bytes: Optional[int] = None
-    index_max_bytes: int = 1 << 20
     quarantine_max_files: int = 64
     quarantine_max_age_s: Optional[float] = None
     tenant_quota_bytes: Optional[int] = None
@@ -197,7 +197,6 @@ class ServiceConfig:
     #: Journal accepted jobs to <store>/jobs.jsonl (journal-before-ack)
     #: and recover open jobs on start.  Off = session-local jobs only.
     job_journal: bool = True
-    journal_max_bytes: int = 1 << 20
     #: Finished jobs kept resumable (event buffers retained).  Open
     #: jobs are never evicted from the resume table.
     job_history: int = 64
@@ -210,7 +209,6 @@ class ServiceConfig:
         """The store lifecycle policy this config implies."""
         return LifecyclePolicy(
             size_budget_bytes=self.size_budget_bytes,
-            index_max_bytes=self.index_max_bytes,
             quarantine_max_files=self.quarantine_max_files,
             quarantine_max_age_s=self.quarantine_max_age_s,
         )
@@ -309,17 +307,13 @@ class CampaignService:
         self.retry = RetryPolicy(max_retries=max(0, config.max_retries))
         self.stats = ServiceStats()
         self.lanes = max(1, int(config.lanes))
-        # Satellite: per-tenant accounting survives restarts — the
-        # ledger replays <store>/tenants.jsonl on construction.
+        # Per-tenant accounting and accepted jobs survive restarts:
+        # replay <store>/tenants.jsonl and <store>/jobs.jsonl now (each
+        # raises JobJournalError -> serve exit code 3 if unreadable);
+        # open jobs found here are re-enqueued in start().
         self.ledger = TenantLedger(self.store.root)
-        # Crash safety: replay <store>/jobs.jsonl now (raises
-        # JobJournalError -> serve exit code 3 if unreadable); open
-        # jobs found here are re-enqueued in start().
         self.journal = JobJournal(
-            self.store.root,
-            max_bytes=config.journal_max_bytes,
-            enabled=config.job_journal,
-            chaos=chaos,
+            self.store.root, enabled=config.job_journal, chaos=chaos
         )
         self.scheduler = FairShareScheduler()
         self.address: Optional[Tuple[str, int]] = None
@@ -437,11 +431,9 @@ class CampaignService:
             "pid": os.getpid(),
             "store": str(self.store.root),
         }
-        path = Path(self.config.ready_file)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.parent / (path.name + ".tmp")
-        temp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-        os.replace(temp, path)
+        write_atomic(
+            Path(self.config.ready_file), json.dumps(payload, sort_keys=True)
+        )
 
     def request_stop(self) -> None:
         """Ask the daemon to drain and exit (signal-handler safe)."""
@@ -556,10 +548,7 @@ class CampaignService:
             service=self.service_section(),
         ).validate()
         path = self.store.root / "service" / "manifest.json"
-        path.parent.mkdir(parents=True, exist_ok=True)
-        temp = path.parent / (path.name + ".tmp")
-        temp.write_text(manifest.to_json(indent=2) + "\n", encoding="utf-8")
-        os.replace(temp, path)
+        write_atomic(path, manifest.to_json(indent=2) + "\n")
         return path
 
     # ------------------------------------------------------------------
@@ -1195,9 +1184,9 @@ def run_service(
 ) -> int:
     """Run the daemon until SIGTERM/SIGINT/shutdown; returns exit code.
 
-    An unreadable jobs journal (:class:`~repro.service.journal.
-    JobJournalError`) propagates — ``python -m repro serve`` maps it to
-    exit code 3.
+    An unreadable jobs journal or tenant ledger
+    (:class:`~repro.service.journal.JobJournalError`) propagates —
+    ``python -m repro serve`` maps it to exit code 3.
     """
     try:
         return asyncio.run(_amain(config, chaos))

@@ -14,13 +14,14 @@ Layout under one root directory::
     <root>/objects/<key[:2]>/<key>.json   sharded artifact files
     <root>/index.jsonl                    append-only put journal
     <root>/quarantine/                    corrupt entries, moved aside
-    <root>/campaigns/<name>/              campaign runner state
+    <root>/campaigns/<name>/              campaign run reports
 
 Guarantees:
 
 * **Atomic writes** — artifacts are written to a temp file in the
-  destination directory and ``os.replace``-d into place, so readers
-  never observe a half-written JSON file even across processes.
+  destination directory and ``os.replace``-d into place
+  (:func:`write_atomic`), so readers never observe a half-written JSON
+  file even across processes.
 * **Corruption never crashes a flow** — an unreadable, unparseable, or
   schema/kind/key-mismatched entry is *quarantined* (moved into
   ``quarantine/``) and reported as a miss; the caller recomputes and
@@ -40,10 +41,11 @@ Guarantees:
 * **Bounded by a lifecycle policy** — a long-running daemon cannot let
   the store grow forever.  :class:`LifecyclePolicy` adds LRU eviction
   by artifact mtime under a configurable size budget (reads bump the
-  mtime, so hot artifacts survive), rotation of the advisory
-  ``index.jsonl`` journal past a size threshold, and count/age caps on
-  the quarantine directory.  Keys *pinned* via :meth:`ResultStore.pin`
-  (in-flight jobs) are never evicted by an LRU pass.
+  mtime, so hot artifacts survive) and count/age caps on the
+  quarantine directory.  Keys *pinned* via :meth:`ResultStore.pin`
+  (in-flight jobs) are never evicted by an LRU pass.  The advisory
+  ``index.jsonl`` is an :class:`AppendLog`, so it rotates to one
+  ``.1`` generation at :data:`LOG_ROTATE_BYTES`.
 """
 
 from __future__ import annotations
@@ -84,14 +86,20 @@ from .codecs import (
 
 __all__ = [
     "ARTIFACT_SCHEMA",
+    "LOG_ROTATE_BYTES",
+    "AppendLog",
     "StoreError",
     "StoreStats",
     "LifecyclePolicy",
     "ResultStore",
+    "write_atomic",
 ]
 
 #: Envelope schema for every artifact file the store writes.
 ARTIFACT_SCHEMA = "repro.store.artifact/1"
+
+#: Size at which an :class:`AppendLog` rotates its file to ``<name>.1``.
+LOG_ROTATE_BYTES = 1 << 20
 
 
 class StoreError(Exception):
@@ -126,11 +134,6 @@ class LifecyclePolicy:
     default) disables automatic eviction — CLI one-shot runs keep
     today's grow-forever behaviour.
 
-    ``index_max_bytes`` rotates the advisory ``index.jsonl`` journal:
-    once it exceeds the threshold it is renamed to ``index.jsonl.1``
-    (replacing any previous rotation) and appending continues on a
-    fresh file, bounding total journal disk at ~2x the threshold.
-
     ``quarantine_max_files`` / ``quarantine_max_age_s`` bound the
     quarantine directory: after every quarantine move, corpses beyond
     the count cap (oldest first) or older than the age cap are deleted
@@ -138,7 +141,6 @@ class LifecyclePolicy:
     """
 
     size_budget_bytes: Optional[int] = None
-    index_max_bytes: int = 1 << 20
     quarantine_max_files: int = 64
     quarantine_max_age_s: Optional[float] = None
 
@@ -151,6 +153,117 @@ def _check_key(key: str) -> str:
             f"store keys must be lowercase hex digests (>= 8 chars), got {key!r}"
         )
     return key
+
+
+def write_atomic(path: Path, text: str) -> None:
+    """Replace ``path``'s contents with ``text`` in one step.
+
+    The text goes to a temp file in the destination directory that is
+    then ``os.replace``-d over ``path``, so a reader in any process sees
+    the old file or the new one, never a torn mix.  A failed write
+    removes its temp file.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, temp_name = tempfile.mkstemp(
+        prefix=f".{path.name}.", suffix=".tmp", dir=str(path.parent)
+    )
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as stream:
+            stream.write(text)
+        os.replace(temp_name, path)
+    except BaseException:
+        try:
+            os.unlink(temp_name)
+        except OSError:
+            pass
+        raise
+
+
+class AppendLog:
+    """One JSON-lines file that grows by appends and rotates once.
+
+    The store's ``index.jsonl`` and the service's ``jobs.jsonl`` and
+    ``tenants.jsonl`` all work this way.  :meth:`append` adds one line;
+    when the file already holds :data:`LOG_ROTATE_BYTES` it is first
+    renamed to ``<name>.1`` (replacing the previous generation) and the
+    fresh file opens with the caller's snapshot line, so disk use stays
+    near twice the limit and :meth:`replay` never needs the rotated
+    file while the current one exists.
+
+    I/O errors reach the caller, which decides whether a lost line is
+    fatal, counted or ignored.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self.path = path
+        self.rotated_path = path.parent / (path.name + ".1")
+        #: Bytes this process believes the file holds (None: unknown).
+        #: Counting our own appends spares a stat() per line; the disk
+        #: is asked only when the count reaches the limit, so appends
+        #: from other processes still trigger the rotation.
+        self._size: Optional[int] = None
+
+    def replay(self) -> Tuple[List[Dict[str, Any]], int]:
+        """``(entries, skipped)`` from the newest file that exists.
+
+        A line that is not a JSON object (a tail torn by a crash
+        mid-append, bit rot) is skipped and counted in ``skipped``.  A
+        file that exists but cannot be read raises :class:`OSError`.
+        """
+        for path in (self.path, self.rotated_path):
+            try:
+                with open(path, "r", encoding="utf-8") as stream:
+                    lines = stream.readlines()
+            except FileNotFoundError:
+                continue
+            entries: List[Dict[str, Any]] = []
+            skipped = 0
+            for line in filter(str.strip, lines):
+                try:
+                    entry = json.loads(line)
+                except ValueError:
+                    entry = None
+                if isinstance(entry, dict):
+                    entries.append(entry)
+                else:
+                    skipped += 1
+            return entries, skipped
+        return [], 0
+
+    def append(
+        self,
+        entry: Dict[str, Any],
+        snapshot: Optional[Callable[[], Dict[str, Any]]] = None,
+    ) -> bool:
+        """Append ``entry`` as one line; True when the file rotated first.
+
+        ``snapshot`` builds the line that opens the fresh file after a
+        rotation: the caller's whole current state, so a replay of the
+        fresh file alone reproduces it.
+        """
+        line = json.dumps(entry, sort_keys=True) + "\n"
+        try:
+            if self._size is None or self._size >= LOG_ROTATE_BYTES:
+                try:
+                    self._size = os.stat(self.path).st_size
+                except FileNotFoundError:
+                    self._size = 0
+            rotated = self._size >= LOG_ROTATE_BYTES
+            if rotated:
+                try:
+                    os.replace(self.path, self.rotated_path)
+                except FileNotFoundError:
+                    pass  # another writer rotated it first
+                if snapshot is not None:
+                    line = json.dumps(snapshot(), sort_keys=True) + "\n" + line
+                self._size = 0
+            with open(self.path, "a", encoding="utf-8") as stream:
+                stream.write(line)
+        except OSError:
+            self._size = None  # the write may be partial: re-read
+            raise
+        self._size += len(line)  # json.dumps output is ASCII
+        return rotated
 
 
 class ResultStore:
@@ -166,6 +279,7 @@ class ResultStore:
         self.quarantine_dir = self.root / "quarantine"
         self.index_path = self.root / "index.jsonl"
         self.objects_dir.mkdir(parents=True, exist_ok=True)
+        self._index_log = AppendLog(self.index_path)
         self.stats = StoreStats()
         self.lifecycle = lifecycle if lifecycle is not None else LifecyclePolicy()
         self._pins: Dict[str, int] = {}
@@ -249,20 +363,7 @@ class ResultStore:
             raise StoreError(
                 f"artifact payload for {kind!r} is not JSON-serializable: {exc}"
             ) from exc
-        path.parent.mkdir(parents=True, exist_ok=True)
-        fd, temp_name = tempfile.mkstemp(
-            prefix=f".{key[:8]}.", suffix=".tmp", dir=str(path.parent)
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as stream:
-                stream.write(text)
-            os.replace(temp_name, path)
-        except BaseException:
-            try:
-                os.unlink(temp_name)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, text)
         self.stats.puts += 1
         telemetry.incr("store.put")
         self._index({"op": "put", "key": key, "kind": kind, "bytes": len(text)})
@@ -527,27 +628,11 @@ class ResultStore:
 
         The index is a convenience for humans and tooling; the objects
         directory is the source of truth, so index write failures are
-        swallowed.  Past ``LifecyclePolicy.index_max_bytes`` the file
-        rotates to ``index.jsonl.1`` (replacing any previous rotation),
-        so a daemon's journal disk use stays bounded at ~2x the
-        threshold instead of leaking forever.
+        swallowed.
         """
         try:
-            try:
-                if (
-                    self.index_path.stat().st_size
-                    >= self.lifecycle.index_max_bytes
-                ):
-                    os.replace(
-                        self.index_path,
-                        self.index_path.parent / (self.index_path.name + ".1"),
-                    )
-                    self.stats.index_rotations += 1
-                    telemetry.incr("store.index_rotated")
-            except FileNotFoundError:
-                pass
-            with open(self.index_path, "a", encoding="utf-8") as stream:
-                stream.write(json.dumps(entry, sort_keys=True))
-                stream.write("\n")
+            if self._index_log.append(entry):
+                self.stats.index_rotations += 1
+                telemetry.incr("store.index_rotated")
         except OSError:
             pass

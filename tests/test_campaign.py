@@ -1,4 +1,4 @@
-"""The campaign orchestrator: memoized cells, resume-from-checkpoint,
+"""The campaign orchestrator: memoized cells, resume from the store,
 warm runs doing zero fault-simulation work, corruption survival, CLI."""
 
 import json
@@ -400,42 +400,47 @@ class TestCli:
 
 
 class TestCheckpointRecovery:
-    """Satellite: the kill-window and corrupt-checkpoint regressions."""
+    """Progress is read from the store, the only record of finished
+    cells, so ``status`` cannot disagree with what ``run`` does next."""
 
-    def test_kill_between_store_put_and_checkpoint_write(self, tmp_path):
-        # Simulate dying after a cell's artifact reached the store but
-        # before the checkpoint recorded it: the resume must neither
-        # lose the cell (recompute) nor double-count it.
-        spec = tiny_spec()
-        store = tmp_path / "store"
-        cold = CampaignRunner(spec, store).run()
-        runner = CampaignRunner(spec, store)
-        data = json.loads(runner.checkpoint_path.read_text(encoding="utf-8"))
-        assert len(data["completed"]) == 2
-        del data["completed"][sorted(data["completed"])[-1]]
-        runner.checkpoint_path.write_text(json.dumps(data), encoding="utf-8")
+    @staticmethod
+    def evict_one(store):
+        runner = CampaignRunner(tiny_spec(), store)
+        runner.run()
+        runner.store.evict(runner.campaign_keys()[1])
+        return runner, [tiny_spec().cells()[1].cell_id]
 
-        resumed = CampaignRunner(spec, store).run()
-        # Served from the store (no recompute) and counted exactly once.
-        assert (resumed.hits, resumed.misses) == (2, 0)
-        assert resumed.completed == 2
-        assert resumed.summary == cold.summary
+    @staticmethod
+    def clean_shared_cell(store):
+        # Campaign "a" shares seed 0 with "b"; cleaning "a" evicts it.
+        shared = CampaignRunner(tiny_spec(name="a", seeds=[0]), store)
+        shared.run()
+        runner = CampaignRunner(tiny_spec(name="b"), store)
+        runner.run()
+        shared.clean()
+        return runner, [tiny_spec().cells()[0].cell_id]
 
-    def test_truncated_checkpoint_rebuilt_from_store(self, tmp_path):
-        spec = tiny_spec()
-        store = tmp_path / "store"
-        cold = CampaignRunner(spec, store).run()
-        runner = CampaignRunner(spec, store)
-        text = runner.checkpoint_path.read_text(encoding="utf-8")
-        runner.checkpoint_path.write_text(text[: len(text) // 3],
-                                          encoding="utf-8")
-        # status() recovers without running anything...
-        assert CampaignRunner(spec, store).status()["completed"] == 2
-        # ...and so does run(), with the rebuild visible in the manifest.
-        resumed = CampaignRunner(spec, store).run()
-        assert resumed.manifest.counters["campaign.checkpoint.rebuilt"] == 1
-        assert (resumed.hits, resumed.misses) == (2, 0)
-        assert resumed.summary == cold.summary
+    @staticmethod
+    def truncate_manifest(store):
+        runner = CampaignRunner(tiny_spec(), store)
+        runner.run()
+        text = runner.manifest_path.read_text(encoding="utf-8")
+        runner.manifest_path.write_text(text[: len(text) // 3],
+                                        encoding="utf-8")
+        return runner, []
+
+    @pytest.mark.parametrize(
+        "scenario", ["evict_one", "clean_shared_cell", "truncate_manifest"]
+    )
+    def test_status_reads_the_store(self, tmp_path, scenario):
+        runner, pending = getattr(self, scenario)(tmp_path / "store")
+        status = runner.status()
+        assert status["pending"] == pending
+        assert status["completed"] == 2 - len(pending)
+        assert status["failed"] == []
+        resumed = runner.run()
+        assert (resumed.hits, resumed.misses) == (2 - len(pending), len(pending))
+        assert resumed.finished
 
     def test_spec_change_is_fresh_start_not_rebuild(self, tmp_path):
         store = tmp_path / "store"
@@ -473,19 +478,15 @@ class TestFailedCells:
             assert record.error == "RuntimeError"
             assert record.attempts == 2
             assert len(record.digest) == 12
-        checkpoint = json.loads(
-            broken.checkpoint_path.read_text(encoding="utf-8")
-        )
-        assert len(checkpoint["failed"]) == 2
-        assert checkpoint["completed"] == {}
+        status = broken.status()
+        assert len(status["failed"]) == 2
+        assert status["completed"] == 0
         # Fixed code (monkeypatch undone by a fresh runner): all heal.
         monkeypatch.undo()
         fixed = CampaignRunner(tiny_spec(), store)
         healed = fixed.run()
         assert healed.failures == [] and healed.finished
-        assert json.loads(
-            fixed.checkpoint_path.read_text(encoding="utf-8")
-        )["failed"] == {}
+        assert fixed.status()["failed"] == []
 
     def test_retry_budget_spent_before_recording(self, tmp_path, monkeypatch):
         broken = self._broken_runner(tmp_path / "s", monkeypatch, retries=2)

@@ -1,7 +1,7 @@
 """Chaos-injection harness: the execution stack under deliberate fire.
 
 The acceptance contract for the resilience layer: with transient chaos
-injected — worker crashes, hangs, raised exceptions, store/checkpoint
+injected — worker crashes, hangs, raised exceptions, store-artifact
 corruption — ``sharded_coverage`` and ``campaign run`` produce results
 **bit-identical** to the fault-free run, and every retry, fallback,
 quarantine and degradation is visible in telemetry counters and the
@@ -372,7 +372,7 @@ class TestCampaignUnderChaos:
         validate_manifest(poisoned.manifest.to_dict())
         assert f"1 cells FAILED" in poisoned.summary
         assert not poisoned.finished
-        # The checkpoint remembers the failure for the next run...
+        # The manifest remembers the failure for the next run...
         runner = self._runner(tmp_path / "b")
         assert runner.status()["failed"] == [cells[0].cell_id]
         # ...and a poison-free resume re-attempts and heals it.
@@ -409,21 +409,6 @@ class TestCampaignUnderChaos:
         assert third.hits == 2
         assert third.summary == baseline.summary
 
-    def test_checkpoint_corruption_chaos_rebuilds_from_store(self, tmp_path):
-        baseline = CampaignRunner(tiny_spec(), tmp_path / "a").run()
-        store = tmp_path / "b"
-        first = self._runner(
-            store, chaos=ChaosConfig(seed=7, corrupt_checkpoint_rate=1.0)
-        ).run()
-        assert first.summary == baseline.summary
-        # The final checkpoint write was corrupted; the resume rebuilds
-        # completed state from the content-addressed store instead of
-        # recomputing (or worse, crashing).
-        second = self._runner(store).run()
-        assert second.manifest.counters["campaign.checkpoint.rebuilt"] == 1
-        assert second.hits == 2 and second.misses == 0
-        assert second.summary == baseline.summary
-
     def test_full_chaos_storm_converges(self, tmp_path):
         """Everything at once: worker faults, cell faults, corruption.
 
@@ -437,7 +422,6 @@ class TestCampaignUnderChaos:
             seed=13,
             exception_rate=0.5,
             corrupt_store_rate=0.3,
-            corrupt_checkpoint_rate=0.3,
         )
         last = None
         for _ in range(4):

@@ -177,16 +177,6 @@ class TestChaosConfig:
             assert always.maybe_corrupt_store("deadbeef" * 4, victim) is True
         assert session.counters["chaos.corrupted"] == 1
 
-    def test_checkpoint_corruption_rolls_per_sequence_dice(self, tmp_path):
-        chaos = ChaosConfig(seed=11, corrupt_checkpoint_rate=0.5)
-        victim = tmp_path / "checkpoint.json"
-        outcomes = []
-        for sequence in range(16):
-            victim.write_text('{"completed": {"a": "b", "c": "d"}}')
-            outcomes.append(chaos.maybe_corrupt_checkpoint(victim, sequence))
-        # Independent draws per rewrite: neither all hits nor all misses.
-        assert any(outcomes) and not all(outcomes)
-
 
 @fork_only
 class TestSupervise:

@@ -385,11 +385,12 @@ class TestTenantLedger:
         assert reborn.snapshot() == {"alice": 150, "bob": 7}
 
     def test_rotation_compacts_to_snapshot_and_replays_exactly(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
         from repro.service import TENANTS_JOURNAL, TenantLedger
 
-        ledger = TenantLedger(tmp_path, max_bytes=256)
+        monkeypatch.setattr("repro.store.store.LOG_ROTATE_BYTES", 256)
+        ledger = TenantLedger(tmp_path)
         for index in range(64):
             ledger.charge(f"tenant-{index % 3}", 10)
         rotated = tmp_path / (TENANTS_JOURNAL + ".1")
@@ -398,7 +399,7 @@ class TestTenantLedger:
         assert (tmp_path / TENANTS_JOURNAL).stat().st_size < 4 * 256
         # ...and a replay (which never reads the rotated file when the
         # current journal exists) reproduces the exact totals.
-        reborn = TenantLedger(tmp_path, max_bytes=256)
+        reborn = TenantLedger(tmp_path)
         assert reborn.snapshot() == ledger.snapshot()
         total = sum(reborn.snapshot().values())
         assert total == 64 * 10

@@ -115,9 +115,12 @@ class TestJobJournal:
         # Numbering continues past every journaled job, done or not.
         assert reborn.next_job_number == 2
 
-    def test_rotation_compacts_open_jobs_into_snapshot(self, tmp_path):
+    def test_rotation_compacts_open_jobs_into_snapshot(
+        self, tmp_path, monkeypatch
+    ):
+        monkeypatch.setattr("repro.store.store.LOG_ROTATE_BYTES", 2048)
         spec = tiny_spec().to_dict()
-        journal = JobJournal(tmp_path, max_bytes=2048)
+        journal = JobJournal(tmp_path)
         journal.record_accepted("job-keep", 0, "alice", 0, False, spec)
         for index in range(1, 40):
             job_id = f"job-{index:06d}"
@@ -129,7 +132,7 @@ class TestJobJournal:
         # (which never needs the rotated file) still finds the one
         # open job plus the job-number watermark.
         assert (tmp_path / JOBS_JOURNAL).stat().st_size < 4 * 2048
-        reborn = JobJournal(tmp_path, max_bytes=2048)
+        reborn = JobJournal(tmp_path)
         assert set(reborn.open_jobs) == {"job-keep"}
         assert reborn.next_job_number == 40
 
@@ -150,6 +153,12 @@ class TestJobJournal:
         (tmp_path / JOBS_JOURNAL).mkdir()  # a directory in the way
         with pytest.raises(JobJournalError):
             JobJournal(tmp_path)
+
+    def test_unreadable_ledger_raises_job_journal_error(self, tmp_path):
+        # Replaying nothing would restart every tenant's quota at zero.
+        (tmp_path / TENANTS_JOURNAL).mkdir()  # a directory in the way
+        with pytest.raises(JobJournalError):
+            TenantLedger(tmp_path)
 
     def test_disabled_journal_writes_nothing(self, tmp_path):
         journal = JobJournal(tmp_path, enabled=False)

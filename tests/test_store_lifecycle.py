@@ -131,8 +131,9 @@ class TestLruEviction:
 
 
 class TestIndexRotation:
-    def test_journal_rotates_past_threshold(self, tmp_path):
-        store = ResultStore(tmp_path, LifecyclePolicy(index_max_bytes=400))
+    def test_journal_rotates_past_threshold(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.store.store.LOG_ROTATE_BYTES", 400)
+        store = ResultStore(tmp_path)
         for i in range(30):
             put_sized(store, make_key(i), i)
         assert store.stats.index_rotations > 0
@@ -146,14 +147,28 @@ class TestIndexRotation:
             for line in path.read_text(encoding="utf-8").splitlines():
                 assert json.loads(line)["op"] == "put"
 
-    def test_rotation_replaces_previous_generation(self, tmp_path):
-        store = ResultStore(tmp_path, LifecyclePolicy(index_max_bytes=200))
+    def test_rotation_replaces_previous_generation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.store.store.LOG_ROTATE_BYTES", 200)
+        store = ResultStore(tmp_path)
         for i in range(60):
             put_sized(store, make_key(i), i)
         assert store.stats.index_rotations >= 2
         # Exactly one rotated generation, never .2/.3/...
         spill = sorted(p.name for p in tmp_path.glob("index.jsonl*"))
         assert spill == ["index.jsonl", "index.jsonl.1"]
+
+    def test_two_writers_rotate_only_full_files(self, tmp_path, monkeypatch):
+        # Two stores on one root stand in for two processes: each counts
+        # only its own appends, so each must re-read the size before it
+        # rotates, or it would rotate the other's fresh file and clobber
+        # the full generation in index.jsonl.1.
+        monkeypatch.setattr("repro.store.store.LOG_ROTATE_BYTES", 400)
+        writers = (ResultStore(tmp_path), ResultStore(tmp_path))
+        rotated = tmp_path / "index.jsonl.1"
+        for i in range(60):
+            put_sized(writers[i % 2], make_key(i), i)
+            assert not rotated.exists() or rotated.stat().st_size >= 400
+        assert sum(w.stats.index_rotations for w in writers) >= 2
 
     def test_no_rotation_under_default_threshold(self, tmp_path):
         store = ResultStore(tmp_path)
