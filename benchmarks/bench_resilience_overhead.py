@@ -16,8 +16,8 @@ three ways on the registered-74181 scan schedule:
 Assertions pin behaviour, not absolute timings:
 
 * all three coverage reports are **bit-identical**;
-* the chaotic run heals completely (no permanent failures, crash and
-  retry counters match the shard count);
+* the chaotic run heals completely (a permanent failure would raise;
+  crash and retry counters match the shard count);
 * supervision bookkeeping overhead stays within ``MAX_OVERHEAD`` of the
   baseline *when the machine has enough CPUs to actually parallelize*
   (with >= ``WORKERS`` CPUs the supervised run is usually *faster*;
@@ -144,7 +144,6 @@ def main(argv=None):
     assert chaotic == baseline, "chaotic run diverged from baseline"
     # The chaos actually fired and was fully healed.
     shard_count = len(chaos_sim.stats["shards"]) or WORKERS
-    assert chaos_sim.failures == [], chaos_sim.failures
     assert chaos_sim.stats["supervision"]["crashes"] >= shard_count - 1
     assert quiet_sim.stats["supervision"]["crashes"] == 0
 

@@ -132,11 +132,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--failure-policy",
-        choices=("raise", "quarantine", "degrade"),
+        choices=("raise", "quarantine"),
         default="raise",
         help="what to do with a cell that fails every retry: 'raise' "
-        "aborts the run (exit 1), 'quarantine'/'degrade' record the "
-        "failure and continue (exit 2); default: raise",
+        "aborts the run (exit 1), 'quarantine' records the failure "
+        "and continues (exit 2); default: raise",
     )
 
     status = actions.add_parser(
@@ -215,11 +215,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--failure-policy",
-        choices=("raise", "quarantine", "degrade"),
+        choices=("raise", "quarantine"),
         default="quarantine",
-        help="'quarantine'/'degrade' fail only the poisoned cell and "
-        "keep serving; 'raise' aborts the submitting job after the "
-        "first failed cell (the daemon never dies); default: quarantine",
+        help="'quarantine' fails only the poisoned cell and keeps "
+        "serving; 'raise' aborts the submitting job after the first "
+        "failed cell (the daemon never dies); default: quarantine",
     )
     serve.add_argument(
         "--size-budget",
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="RATE",
-        help="kill a lane's cell worker on the cell's first attempt "
+        help="crash a cold cell's worker on the cell's first attempt "
         "with this probability (default: 0)",
     )
     chaos_group.add_argument(
@@ -298,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         metavar="RATE",
-        help="hang a lane's cell worker past --cell-deadline with "
+        help="hang a cold cell's worker past --cell-deadline with "
         "this probability (default: 0)",
     )
     chaos_group.add_argument(
@@ -351,8 +351,8 @@ def main(argv: Optional[List[str]] = None) -> int:
             chaos = ChaosConfig(
                 seed=args.chaos_seed,
                 drop_client_rate=args.chaos_drop_client,
-                lane_kill_rate=args.chaos_lane_kill,
-                lane_hang_rate=args.chaos_lane_hang,
+                crash_rate=args.chaos_lane_kill,
+                hang_rate=args.chaos_lane_hang,
                 daemon_kill_after_cells=args.chaos_kill_after_cells,
                 corrupt_journal_rate=args.chaos_journal_corrupt,
                 hang_s=(args.cell_deadline or 30.0) * 4,

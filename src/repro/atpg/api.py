@@ -109,7 +109,6 @@ def generate_tests(
     engine: str = "parallel_pattern",
     workers: int = 1,
     supervision: Optional["SupervisionPolicy"] = None,
-    failure_policy: str = "raise",
     chaos: Optional["ChaosConfig"] = None,
     fault_model: str = "stuck_at",
     backend: Optional[Any] = None,
@@ -139,13 +138,10 @@ def generate_tests(
     where available, else spawn), recorded in the manifest's
     ``workers.backend``.
 
-    ``supervision``/``failure_policy``/``chaos`` configure the sharded
-    executor's fault tolerance (see :mod:`repro.resilience`): worker
-    crashes, hangs and raised exceptions are retried with backoff and
-    healed by in-process fallback; only a shard that fails
-    deterministically is handled per ``failure_policy``, and any
-    resulting quarantine/degradation is reported in the manifest's
-    validated ``failures`` section.
+    ``supervision``/``chaos`` configure the sharded executor's fault
+    tolerance (see :mod:`repro.resilience`): worker crashes, hangs and
+    raised exceptions are retried with backoff and healed by in-process
+    fallback; a shard that fails deterministically raises.
 
     ``fault_model`` selects the fault model (``"stuck_at"``,
     ``"bridging"``, ``"cmos_stuck_open"``, ``"transition"``; see
@@ -180,7 +176,6 @@ def generate_tests(
             faults=fault_list,
             workers=workers,
             supervision=supervision,
-            failure_policy=failure_policy,
             chaos=chaos,
             backend=backend,
         )
@@ -357,7 +352,6 @@ def generate_tests(
             "total_backtracks": total_backtracks,
         },
         workers=sharded.workers_section() if sharded is not None else None,
-        failures=sharded.failures_section() if sharded is not None else None,
     )
     return TestGenerationResult(
         circuit_name=circuit.name,

@@ -29,9 +29,9 @@ store's hit/miss/quarantine behaviour).
 **Fault tolerance** (see :mod:`repro.resilience`): each cell runs
 under a bounded retry budget with jittered backoff; a cell that keeps
 failing is handled per :class:`~repro.resilience.FailurePolicy` —
-``raise`` (default) propagates, ``quarantine``/``degrade`` record a
+``raise`` (default) propagates, ``quarantine`` records a
 :class:`~repro.resilience.FailureRecord` in the manifest's validated
-``failures`` section and move on.  Failed cells are re-attempted on
+``failures`` section and moves on.  Failed cells are re-attempted on
 every resume; ``status`` reports as failed the cells the last run's
 manifest lists that are still missing from the store.
 """

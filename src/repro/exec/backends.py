@@ -284,10 +284,11 @@ def _process_map(
     busy: Dict[Any, _Worker] = {}
 
     def start() -> _Worker:
+        # Non-daemonic, so a task may start its own pool (a daemon lane's
+        # cold cell shards); the ``finally`` below reaps every worker.
         parent_conn, child_conn = context.Pipe()
         process = context.Process(
             target=_worker_main, args=(child_conn, task_fn, payload),
-            daemon=True,
         )
         process.start()
         child_conn.close()

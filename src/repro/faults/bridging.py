@@ -122,20 +122,27 @@ def random_bridges(
     rng = random.Random(seed)
     nets = circuit.nets()
     bridges: List[BridgingFault] = []
+    # Every drawn candidate, feedback ones included: once all unordered
+    # pairs in both wired kinds are seen, no draw can add a bridge.
     seen: set = set()
+    candidates = len(nets) * (len(nets) - 1)
     attempts = 0
-    while len(bridges) < count and attempts < count * 100:
+    while (
+        len(bridges) < count
+        and attempts < count * 100
+        and len(seen) < candidates
+    ):
         attempts += 1
         net_a, net_b = rng.sample(nets, 2)
         kind = rng.choice((BridgeKind.WIRED_AND, BridgeKind.WIRED_OR))
         fault = BridgingFault(net_a, net_b, kind)
         if fault in seen:
             continue
+        seen.add(fault)
         cone_a = circuit.input_cone(net_a)
         cone_b = circuit.input_cone(net_b)
         if net_a in cone_b or net_b in cone_a:
             continue
-        seen.add(fault)
         bridges.append(fault)
     if len(bridges) < count:
         telemetry.incr("faults.bridges.undercount", count - len(bridges))

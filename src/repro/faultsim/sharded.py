@@ -42,14 +42,10 @@ the ``workers`` section of the flow's
 Fork-pool execution is *supervised* (:mod:`repro.resilience`): a worker
 that crashes, hangs past the supervision timeout, or raises is retried
 with jittered exponential backoff; a shard that keeps failing falls
-back to chaos-free in-process execution, so transient worker faults
+back to one chaos-free in-process run, so transient worker faults
 never change the result — it stays bit-identical to the fault-free
-run.  A shard that fails *deterministically* (in-process too) is
-handled per the :class:`~repro.resilience.FailurePolicy`: ``raise``
-propagates (default), ``quarantine`` bisects the shard down to the
-smallest failing fault subset and excludes only that (reported in the
-manifest's validated ``failures`` section), ``degrade`` excludes the
-whole shard.  The seeded chaos harness
+run.  A shard that fails *deterministically* (in-process too) raises:
+there is no partial report.  The seeded chaos harness
 (:class:`~repro.resilience.ChaosConfig`, ``tests/test_chaos.py``)
 exists to prove all of the above.
 """
@@ -57,7 +53,7 @@ exists to prove all of the above.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from .. import telemetry
 from ..exec.backends import ExecutorBackend, create_backend
@@ -68,13 +64,7 @@ from ..faults.models import (
     UnsupportedFaultModelError,
     plan_fault_model,
 )
-from ..resilience import (
-    ChaosConfig,
-    FailurePolicy,
-    FailureRecord,
-    SupervisionPolicy,
-    failure_record,
-)
+from ..resilience import ChaosConfig, SupervisionPolicy
 from .coverage import CoverageReport, merge_reports
 
 Pattern = Mapping[str, int]
@@ -147,8 +137,7 @@ def _execute_shard(state: Dict[str, Any], index: int):
 
     Poisoned faults (chaos harness) raise here, in workers and in the
     parent alike — a *deterministic* failure that retries and the
-    in-process fallback cannot heal, which is exactly what the
-    quarantine/bisection path exists for.
+    in-process fallback cannot heal, so it reaches the caller.
     """
     shard = state["shards"][index]
     chaos: Optional[ChaosConfig] = state.get("chaos")
@@ -212,12 +201,9 @@ class ShardedFaultSimulator:
     Fault tolerance knobs: ``supervision`` (a
     :class:`~repro.resilience.SupervisionPolicy`: per-shard timeout,
     retry budget, backoff — defaults to bounded retries with no
-    timeout), ``failure_policy`` (``"raise"`` / ``"quarantine"`` /
-    ``"degrade"``, applied only to shards that fail *deterministically*
-    after the in-process fallback), and ``chaos`` (a test-only
+    timeout) and ``chaos`` (a test-only
     :class:`~repro.resilience.ChaosConfig` injecting worker faults).
-    Permanent failures accumulate in :attr:`failures` and surface via
-    :meth:`failures_section`.
+    A shard that still fails in its chaos-free in-process run raises.
     """
 
     def __init__(
@@ -229,7 +215,6 @@ class ShardedFaultSimulator:
         workers: Optional[int] = None,
         shards: Optional[int] = None,
         supervision: Optional[SupervisionPolicy] = None,
-        failure_policy: Union[str, FailurePolicy] = FailurePolicy.RAISE,
         chaos: Optional[ChaosConfig] = None,
         fault_model: Union[str, FaultModel] = FaultModel.STUCK_AT,
         backend: Union[None, str, ExecutorBackend] = None,
@@ -253,12 +238,10 @@ class ShardedFaultSimulator:
         self.workers = max(1, int(workers or 1))
         self.shard_count = max(1, int(shards if shards is not None else self.workers))
         self.supervision = supervision if supervision is not None else SupervisionPolicy()
-        self.failure_policy = FailurePolicy.coerce(failure_policy)
         self.chaos = chaos
         self.engine_kwargs = dict(engine_kwargs)
         self.backend_spec = backend
         self._local = None
-        self.failures: List[FailureRecord] = []
         self.stats: Dict[str, Any] = {
             "requested": self.workers,
             "effective": 0,
@@ -300,12 +283,9 @@ class ShardedFaultSimulator:
         The detected-fault set, first-detection indices, fault order and
         coverage are identical to the single-process engine run for any
         ``workers``/``shards`` combination — including runs where the
-        chaos harness crashes, hangs or poisons workers, as long as
-        every failure is transient (healed by retry or in-process
-        fallback).  Only a deterministic failure under a non-``raise``
-        :class:`~repro.resilience.FailurePolicy` changes the report, by
-        excluding the quarantined faults — and that exclusion is
-        recorded in :attr:`failures`.
+        chaos harness crashes, hangs or fails workers, as long as every
+        failure is transient (healed by retry or in-process fallback).
+        A deterministic failure raises.
         """
         shards = shard_faults(self.faults, self.shard_count)
         backend: Optional[ExecutorBackend] = None
@@ -341,8 +321,9 @@ class ShardedFaultSimulator:
             shards=len(shards),
             mode=mode,
         ):
-            if len(shards) <= 1 and self.workers <= 1:
-                # Pure single-process path: no shard/merge bookkeeping.
+            if not shards or (len(shards) == 1 and self.workers <= 1):
+                # Pure single-process path (an empty fault list included:
+                # its report must equal the single-process run's).
                 report = self._local_simulator().run(patterns, **run_kwargs)
                 self._record_run(mode, 1, [])
                 return report
@@ -355,39 +336,47 @@ class ShardedFaultSimulator:
                 "run_kwargs": dict(run_kwargs),
                 "chaos": self.chaos,
             }
-            if not shards:
-                # Empty fault list: one empty-report "shard" keeps the
-                # result identical to the single-process run.
-                report = self._local_simulator().run(patterns, **run_kwargs)
-                self._record_run(mode, 1, [])
-                return report
-            if backend is not None:
-                shard_rows, report_lists = self._run_backend(
-                    state, shards, effective, backend
+            pooled = (
+                self._map_shards(state, effective, backend)
+                if backend is not None else {}
+            )
+            shard_rows: List[Dict[str, Any]] = []
+            reports: List[CoverageReport] = []
+            for index, shard in enumerate(shards):
+                result = pooled.get(index)
+                if result is None:
+                    if backend is not None:
+                        # The shard exhausted its worker retries.  Worker
+                        # chaos cannot follow it here, so the result is
+                        # the fault-free one; a failure now is
+                        # deterministic and raises.
+                        telemetry.incr("resilience.fallback_inprocess")
+                        self._record_fallback("supervision", shard=index)
+                    # In this process, shard telemetry tees straight
+                    # into the active sink: nothing to replay.
+                    result = _execute_shard(state, index)
+                elif backend.replays_counters:
+                    # Telemetry fold-back contract: counters captured
+                    # outside this capture context (another process or
+                    # thread) only exist in the returned dict — replay
+                    # them here.  The inline backend's tasks tee
+                    # directly into our sink, so replaying there would
+                    # double-count.
+                    for name, value in result[2].items():
+                        telemetry.incr(name, value)
+                _, report, counters, elapsed = result
+                shard_rows.append(
+                    {"shard": index, "faults": len(shard),
+                     "duration_s": elapsed, "counters": counters}
                 )
-            else:
-                shard_rows, report_lists = self._run_inprocess(state, shards)
-            shard_rows.sort(key=lambda row: row["shard"])
-            flat = [r for reports in report_lists for r in reports]
-            if flat:
-                merged = merge_reports(flat, axis="faults")
-            else:
-                # Every shard degraded away: an empty (but well-formed)
-                # report, so callers still get coverage arithmetic.
-                merged = CoverageReport(
-                    self.circuit.name, len(state["patterns"]), []
-                )
+                reports.append(report)
             self._record_run(mode, effective, shard_rows)
-            return merged
+            return merge_reports(reports, axis="faults")
 
-    def _run_backend(
-        self,
-        state: Dict[str, Any],
-        shards: List[List[Fault]],
-        effective: int,
-        backend: ExecutorBackend,
-    ) -> Tuple[List[Dict[str, Any]], List[List[CoverageReport]]]:
-        """Pooled path: supervised backend map, retries, per-shard fallback."""
+    def _map_shards(
+        self, state: Dict[str, Any], effective: int, backend: ExecutorBackend
+    ) -> Dict[int, Any]:
+        """One supervised backend map over every shard; pooled results."""
         if self.chaos is not None:
             # Worker-kind injection may os._exit the process: only safe
             # when the backend isolates tasks in child processes.
@@ -395,7 +384,7 @@ class ShardedFaultSimulator:
         outcome = backend.map(
             _shard_task,
             state,
-            range(len(shards)),
+            range(len(state["shards"])),
             workers=effective,
             policy=self.supervision,
         )
@@ -407,146 +396,7 @@ class ShardedFaultSimulator:
             key = kind_keys.get(event["kind"])
             if key:
                 sup[key] += 1
-        shard_rows: List[Dict[str, Any]] = []
-        report_lists: List[List[CoverageReport]] = []
-        for index in range(len(shards)):
-            result = outcome.results.get(index)
-            if result is not None:
-                _, report, counters, elapsed = result
-                # Telemetry fold-back contract: counters captured outside
-                # this capture context (another process or thread) only
-                # exist in the returned dict — replay them here.  The
-                # inline backend's tasks tee directly into our sink, so
-                # replaying there would double-count.
-                if backend.replays_counters:
-                    for name, value in counters.items():
-                        telemetry.incr(name, value)
-                shard_rows.append(
-                    {"shard": index, "faults": len(shards[index]),
-                     "duration_s": elapsed, "counters": counters}
-                )
-                report_lists.append([report])
-                continue
-            failure = outcome.failed[index]
-            report_lists.append(
-                self._resolve_failed_shard(state, index, failure, shard_rows)
-            )
-        return shard_rows, report_lists
-
-    def _run_inprocess(
-        self, state: Dict[str, Any], shards: List[List[Fault]]
-    ) -> Tuple[List[Dict[str, Any]], List[List[CoverageReport]]]:
-        """Shard/merge path without workers (fork unavailable etc.).
-
-        Shard telemetry tees straight into the active sink as each
-        shard runs in this process, so — unlike the fork path — its
-        counters are *not* replayed afterwards (that would double-count
-        them).
-        """
-        shard_rows: List[Dict[str, Any]] = []
-        report_lists: List[List[CoverageReport]] = []
-        for index in range(len(shards)):
-            try:
-                _, report, counters, elapsed = _execute_shard(state, index)
-            except Exception as exc:
-                report_lists.append(
-                    self._apply_failure_policy(state, index, exc, attempts=1)
-                )
-                continue
-            shard_rows.append(
-                {"shard": index, "faults": len(shards[index]),
-                 "duration_s": elapsed, "counters": counters}
-            )
-            report_lists.append([report])
-        return shard_rows, report_lists
-
-    def _resolve_failed_shard(
-        self,
-        state: Dict[str, Any],
-        index: int,
-        failure: Any,
-        shard_rows: List[Dict[str, Any]],
-    ) -> List[CoverageReport]:
-        """A shard exhausted its worker retries: fall back in-process.
-
-        Transient worker faults (crash/hang/injected exceptions) cannot
-        follow the shard here — the fallback runs chaos-free in the
-        parent — so its result is the fault-free one and the run stays
-        bit-identical.  If the shard *still* fails the failure is
-        deterministic and the :class:`FailurePolicy` decides.
-        """
-        telemetry.incr("resilience.fallback_inprocess")
-        self._record_fallback("supervision", shard=index)
-        try:
-            _, report, counters, elapsed = _execute_shard(state, index)
-        except Exception as exc:
-            return self._apply_failure_policy(
-                state, index, exc, attempts=failure.attempts + 1
-            )
-        shard_rows.append(
-            {"shard": index, "faults": len(state["shards"][index]),
-             "duration_s": elapsed, "counters": counters}
-        )
-        return [report]
-
-    def _apply_failure_policy(
-        self, state: Dict[str, Any], index: int, exc: Exception, attempts: int
-    ) -> List[CoverageReport]:
-        """Deterministic shard failure: raise, degrade, or quarantine."""
-        shard = state["shards"][index]
-        if self.failure_policy is FailurePolicy.RAISE:
-            raise exc
-        if self.failure_policy is FailurePolicy.DEGRADE:
-            record = failure_record(
-                f"shard:{index}", exc, attempts, "degrade",
-                detail={"shard": index, "faults": [f.name for f in shard]},
-            )
-            self._record_failure(record, len(shard))
-            return []
-        reports, poisoned = self._bisect_shard(state, shard)
-        record = failure_record(
-            f"shard:{index}", exc, attempts, "quarantine",
-            detail={
-                "shard": index,
-                "faults": [fault.name for fault, _ in poisoned],
-                "errors": sorted({type(e).__name__ for _, e in poisoned}),
-            },
-        )
-        self._record_failure(record, len(poisoned))
-        return reports
-
-    def _bisect_shard(
-        self, state: Dict[str, Any], faults: List[Fault]
-    ) -> Tuple[List[CoverageReport], List[Tuple[Fault, Exception]]]:
-        """Narrow a deterministically failing shard to its bad faults.
-
-        Classic delta-debugging bisection: run the subset in-process;
-        on failure split it and recurse, down to singletons.  Returns
-        the passing sub-reports *in fault-list order* (so the fault-axis
-        merge preserves ordering) plus the poisoned faults.
-        """
-        telemetry.incr("resilience.bisect_runs")
-        try:
-            report = self._run_fault_subset(state, faults)
-        except Exception as exc:
-            if len(faults) == 1:
-                return [], [(faults[0], exc)]
-            mid = len(faults) // 2
-            left_reports, left_poisoned = self._bisect_shard(state, faults[:mid])
-            right_reports, right_poisoned = self._bisect_shard(state, faults[mid:])
-            return left_reports + right_reports, left_poisoned + right_poisoned
-        return [report], []
-
-    def _run_fault_subset(
-        self, state: Dict[str, Any], faults: List[Fault]
-    ) -> CoverageReport:
-        chaos: Optional[ChaosConfig] = state.get("chaos")
-        if chaos is not None:
-            chaos.check_poison_faults(faults)
-        simulator = _build_simulator(
-            state["circuit"], state["engine"], faults, state["engine_kwargs"]
-        )
-        return simulator.run(state["patterns"], **state["run_kwargs"])
+        return outcome.results
 
     def _record_fallback(self, reason: str, shard: Optional[int] = None) -> None:
         """Count and remember one in-process fallback (never silent)."""
@@ -554,11 +404,6 @@ class ShardedFaultSimulator:
         self.stats["fallbacks"].append({"reason": reason, "shard": shard})
         if reason == "supervision":
             self.stats["supervision"]["fallbacks"] += 1
-
-    def _record_failure(self, record: FailureRecord, fault_count: int) -> None:
-        self.failures.append(record)
-        telemetry.incr("resilience.shard_failures")
-        telemetry.incr("resilience.quarantined_faults", fault_count)
 
     def _record_run(
         self, mode: str, effective: int, shard_rows: List[Dict[str, Any]]
@@ -610,12 +455,6 @@ class ShardedFaultSimulator:
             ],
         }
 
-    def failures_section(self) -> Optional[List[Dict[str, Any]]]:
-        """Manifest-ready ``failures`` rows, or None when nothing failed."""
-        if not self.failures:
-            return None
-        return [record.to_dict() for record in self.failures]
-
 
 def sharded_coverage(
     circuit: Circuit,
@@ -626,7 +465,6 @@ def sharded_coverage(
     workers: int = 1,
     shards: Optional[int] = None,
     supervision: Optional[SupervisionPolicy] = None,
-    failure_policy: Union[str, FailurePolicy] = FailurePolicy.RAISE,
     chaos: Optional[ChaosConfig] = None,
     fault_model: Union[str, FaultModel] = FaultModel.STUCK_AT,
     backend: Union[None, str, ExecutorBackend] = None,
@@ -641,7 +479,6 @@ def sharded_coverage(
         workers=workers,
         shards=shards,
         supervision=supervision,
-        failure_policy=failure_policy,
         chaos=chaos,
         fault_model=fault_model,
         backend=backend,

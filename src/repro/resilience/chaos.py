@@ -9,24 +9,27 @@ permanent regression test.
 
 Fault kinds:
 
-* **worker crash** — the forked shard worker calls ``os._exit`` (the
-  supervisor must see EOF on the result pipe and retry);
-* **worker hang** — the worker sleeps past the supervision timeout
-  (the supervisor must terminate it and retry);
-* **worker exception** — the shard task raises :class:`ChaosError`
-  (must travel back over the pipe and trigger a retry);
+* **worker crash / hang / exception** — one model for every worker,
+  whether it runs a fault shard or the daemon's cold cell: in a worker
+  process (:meth:`ChaosConfig.inject_worker`) a crash is a real
+  ``os._exit`` (the supervisor must see EOF on the result pipe and
+  retry), a hang sleeps past the supervision timeout (the supervisor
+  must terminate it and retry), and an exception raises
+  :class:`ChaosError` (it must travel back over the pipe and trigger a
+  retry); where no worker process exists
+  (:meth:`ChaosConfig.inject_inline`) all three raise;
 * **poisoned faults / cells** — a named fault or campaign cell fails
-  *deterministically*, in workers and in-process alike (exercises
-  bisection and quarantine, the paths retries cannot heal);
+  *deterministically*, in workers and in-process alike (a fault shard
+  then raises; a cell is quarantined or raises per its
+  :class:`~repro.resilience.FailurePolicy`);
 * **file corruption** — a just-written store artifact is truncated
   mid-JSON (the reader must quarantine and recompute, never crash);
 * **service faults** (the ``repro.service`` daemon's own failure
   modes): a client connection dropped mid-stream (the client must
-  resume by ``job_id`` + last-seen ``seq``), a lane's cell worker
-  killed or hung (one retry-budget attempt, charged once), the daemon
-  SIGKILLed between cells (restart recovery must replay the job
-  journal), and the job journal's tail torn mid-line (replay must skip
-  it with a counter, never raise).
+  resume by ``job_id`` + last-seen ``seq``), the daemon SIGKILLed
+  between cells (restart recovery must replay the job journal), and
+  the job journal's tail torn mid-line (replay must skip it with a
+  counter, never raise).
 
 By default rates apply only to a site's *first* attempt
 (``first_attempt_only=True``), so retries heal every transient fault
@@ -124,10 +127,10 @@ class ChaosConfig:
     fault is healed by one retry.  ``poison_faults`` / ``poison_cells``
     name units that fail deterministically on every attempt.
 
-    The ``drop_client_rate`` / ``lane_kill_rate`` / ``lane_hang_rate``
-    / ``daemon_kill_after_cells`` / ``corrupt_journal_rate`` knobs
-    target the :mod:`repro.service` daemon itself — see the module doc
-    and :mod:`repro.service.server` for where each one bites.
+    The ``drop_client_rate`` / ``daemon_kill_after_cells`` /
+    ``corrupt_journal_rate`` knobs target the :mod:`repro.service`
+    daemon itself — see the module doc and :mod:`repro.service.server`
+    for where each one bites.
     """
 
     seed: int = 0
@@ -144,11 +147,6 @@ class ChaosConfig:
     #: ``first_attempt_only`` a job is dropped at most once, so a
     #: resuming client always gets through on the retry.
     drop_client_rate: float = 0.0
-    #: Kill a lane's cell worker (``os._exit`` in a process backend,
-    #: an exception in the inline path) on the cell's first attempt.
-    lane_kill_rate: float = 0.0
-    #: Hang a lane's cell worker past the service's cell deadline.
-    lane_hang_rate: float = 0.0
     #: SIGKILL the daemon (``os._exit(137)``) after this many cold
     #: cells complete — the "power loss between cells" scenario the
     #: job journal must recover from.  None disables.
@@ -185,7 +183,7 @@ class ChaosConfig:
     # Injection points
     # ------------------------------------------------------------------
     def inject_worker(self, site: str, attempt: int) -> None:
-        """Maybe crash/hang/raise — called inside a *forked worker* only.
+        """Maybe crash/hang/raise — called inside a *worker process* only.
 
         Never call this from the orchestrating process: the crash kind
         is a real ``os._exit``.
@@ -230,42 +228,6 @@ class ChaosConfig:
     # ------------------------------------------------------------------
     # Service (daemon) faults
     # ------------------------------------------------------------------
-    def decide_lane(self, site: str, attempt: int) -> Optional[str]:
-        """Which lane-worker fault (if any) to inject for this cell.
-
-        Draw order is fixed (kill, hang) so a seed's injections are
-        stable; ``first_attempt_only`` heals every injection on the
-        cell's first retry.
-        """
-        if self.first_attempt_only and attempt > 0:
-            return None
-        rng = self._rng(f"lane:{site}", attempt)
-        for kind, rate in (
-            ("kill", self.lane_kill_rate),
-            ("hang", self.lane_hang_rate),
-        ):
-            if rate and rng.random() < rate:
-                return kind
-        return None
-
-    def inject_lane_worker(self, site: str, attempt: int) -> None:
-        """Kill/hang the *cell worker child* — never call in the daemon."""
-        kind = self.decide_lane(site, attempt)
-        if kind is None:
-            return
-        if kind == "kill":
-            os._exit(23)
-        time.sleep(self.hang_s)
-
-    def inject_lane_inline(self, site: str, attempt: int) -> None:
-        """Lane fault as an exception — for cells run in the lane thread."""
-        kind = self.decide_lane(site, attempt)
-        if kind is not None:
-            raise ChaosError(
-                f"injected lane {kind} (as exception) at {site} "
-                f"attempt {attempt}"
-            )
-
     def decide_drop_client(self, job_id: str, seq: int, attempt: int) -> bool:
         """Abort the client connection before streaming event ``seq``?
 

@@ -2,14 +2,14 @@
 
 The paper argues a system is only trustworthy when its failure modes
 are *designed*: enumerated, bounded, observable.  This module gives the
-execution stack (sharded fault simulation, campaign orchestration) the
-vocabulary for that design:
+execution stack (sharded fault simulation, campaign orchestration, the
+service daemon) the vocabulary for that design:
 
-* :class:`FailurePolicy` — what a layer does with a fault that survives
-  every retry: ``raise`` (propagate, the conservative default),
-  ``quarantine`` (narrow the failure to the smallest unit, exclude it,
-  and report it in the run manifest's ``failures`` section), or
-  ``degrade`` (exclude the whole failing unit without narrowing).
+* :class:`FailurePolicy` — what a campaign or daemon does with a cell
+  that fails every retry: ``raise`` (propagate, the conservative
+  default) or ``quarantine`` (fail only that cell, report it in the
+  run manifest's ``failures`` section, and move on).  A fault shard
+  has no policy: one that fails deterministically raises.
 * :class:`RetryPolicy` — bounded retries with jittered exponential
   backoff.  Delays are a pure function of ``(seed, site, attempt)`` so
   runs are reproducible, and the ``sleep``/``clock`` hooks are
@@ -40,19 +40,16 @@ __all__ = [
 
 
 class FailurePolicy(enum.Enum):
-    """What to do with a unit of work that fails deterministically.
+    """What to do with a campaign cell that fails every retry.
 
-    ``RAISE`` propagates the error (fail the whole run — the default
-    everywhere, so opting into degradation is always explicit).
-    ``QUARANTINE`` narrows the failure to the smallest failing subset
-    (bisection where the unit is divisible), excludes only that, and
-    records it.  ``DEGRADE`` excludes the whole failing unit without
-    narrowing — cheaper, coarser.
+    ``RAISE`` propagates the error (fail the whole run — the campaign
+    runner's default, so opting into partial results is explicit).
+    ``QUARANTINE`` fails only that cell, records it as a
+    :class:`FailureRecord`, and lets the rest of the run go on.
     """
 
     RAISE = "raise"
     QUARANTINE = "quarantine"
-    DEGRADE = "degrade"
 
     @classmethod
     def coerce(cls, value: Union[str, "FailurePolicy"]) -> "FailurePolicy":
@@ -148,11 +145,11 @@ def traceback_digest(exc: BaseException) -> str:
 class FailureRecord:
     """Manifest-ready description of one permanent failure.
 
-    ``site`` names the failing unit (``"shard:3"``, ``"cell:c17:..."``),
-    ``action`` is what the failure policy did (``"quarantine"`` /
-    ``"degrade"``), ``attempts`` counts every try including the first,
-    and ``detail`` carries unit-specific context (quarantined fault
-    names, shard index, ...).
+    ``site`` names the failing cell (``"cell:c17:..."``), ``action``
+    is the failure policy in force (``"quarantine"``, or ``"raise"``
+    for a daemon job the failure aborted), ``attempts`` counts every
+    try including the first, and ``detail`` carries cell context (its
+    cache ``key``, ...).
     """
 
     site: str

@@ -17,8 +17,8 @@ classifies every attempt:
 Failed attempts are retried with the policy's jittered exponential
 backoff up to ``retry.max_retries`` times; a task that exhausts its
 budget lands in :attr:`SupervisionOutcome.failed` for the caller to
-resolve (the sharded simulator falls back to in-process execution, then
-applies its :class:`~repro.resilience.policy.FailurePolicy`).  Every
+resolve (the sharded simulator falls back to one in-process run, which
+raises if the failure is deterministic).  Every
 retry, crash, hang and worker exception is counted through
 :mod:`repro.telemetry` (``resilience.*`` counters), so supervision
 activity is visible in run manifests, never silent.

@@ -147,7 +147,6 @@ def full_scan_flow(
     reverse_compact: bool = False,
     workers: int = 1,
     supervision: Optional["SupervisionPolicy"] = None,
-    failure_policy: str = "raise",
     chaos: Optional["ChaosConfig"] = None,
     fault_model: str = "stuck_at",
     backend: Optional[Any] = None,
@@ -166,10 +165,9 @@ def full_scan_flow(
     :mod:`repro.exec` execution backend for both pools (default
     auto-selects fork where available, else spawn).
 
-    ``supervision``/``failure_policy``/``chaos`` configure the sharded
-    executors' fault tolerance (see :mod:`repro.resilience`); any
-    permanent quarantine/degradation shows up in the manifest's
-    ``failures`` section.
+    ``supervision``/``chaos`` configure the sharded executors' fault
+    tolerance (see :mod:`repro.resilience`); a shard that fails
+    deterministically raises.
 
     ``fault_model`` passes through to the core ATPG.  The scan flow's
     capability matrix is narrower than the core's: the sequential
@@ -213,7 +211,6 @@ def full_scan_flow(
                     reverse_compact=reverse_compact,
                     workers=workers,
                     supervision=supervision,
-                    failure_policy=failure_policy,
                     chaos=chaos,
                     fault_model=model,
                     backend=backend,
@@ -242,7 +239,6 @@ def full_scan_flow(
                         faults=faults,
                         workers=workers,
                         supervision=supervision,
-                        failure_policy=failure_policy,
                         chaos=chaos,
                         backend=backend,
                     )
@@ -281,7 +277,6 @@ def full_scan_flow(
             "scan_coverage": coverage.coverage if coverage is not None else None,
         },
         workers=verifier.workers_section() if verifier is not None else None,
-        failures=verifier.failures_section() if verifier is not None else None,
         fault_model=(
             core_tests.fault_model_plan.section()
             if core_tests.fault_model_plan is not None

@@ -73,9 +73,10 @@ Architecture (one process, one event loop):
 * **Daemon chaos** — a :class:`~repro.resilience.ChaosConfig` can turn
   the service's own failure modes on, seeded: abort a client
   connection mid-stream (``drop_client_rate``; the client resumes),
-  kill or hang a lane's cell worker (``lane_kill_rate`` /
-  ``lane_hang_rate``; one retry-budget attempt, charged once),
-  SIGKILL the whole daemon after N cold cells
+  crash, hang or fail a cold cell's worker with the shard workers'
+  ``crash_rate`` / ``hang_rate`` / ``exception_rate`` (one
+  retry-budget attempt, charged once), SIGKILL the whole daemon after
+  N cold cells
   (``daemon_kill_after_cells``; restart recovery replays the
   journal), and tear the journal tail mid-append
   (``corrupt_journal_rate``; replay skips it).  Chaos runs must end
@@ -159,14 +160,14 @@ def _cold_cell_task(
     under its own :func:`telemetry.capture` and returns the counters
     alongside the encoded payload — the parent lane replays them (the
     exec fold-back contract; child-process counters would otherwise
-    vanish with the child).  Lane chaos (worker kill/hang) is shipped
-    in the payload and injected *here*, in the child, with the lane's
-    retry attempt — never in the daemon process.
+    vanish with the child).  Worker chaos (crash/hang/exception) is
+    shipped in the payload and injected *here*, in the child, with the
+    lane's retry attempt — never in the daemon process.
     """
     del task, attempt  # one cell per map call; retries live in the lane
     (cell, params, workers, key, backend_spec, chaos, lane_attempt) = payload
     if chaos is not None:
-        chaos.inject_lane_worker(f"cell:{cell.cell_id}", lane_attempt)
+        chaos.inject_worker(f"cell:{cell.cell_id}", lane_attempt)
     with telemetry.capture() as session:
         result = execute_cell(
             cell, params, workers=workers, key=key, backend=backend_spec
@@ -1032,7 +1033,7 @@ class CampaignService:
 
         Returns ``((payload, cached, failure), retries)`` — exactly one
         of ``payload`` / ``failure`` is set.  Any exception (a poisoned
-        netlist, a flow bug, injected lane chaos) becomes a
+        netlist, a flow bug, injected worker chaos) becomes a
         :class:`FailureRecord` after the retry budget; it never
         propagates into the daemon.
         """
@@ -1044,11 +1045,10 @@ class CampaignService:
                     return (payload, True, None), attempt
                 if self.chaos is not None:
                     self.chaos.check_poison_cell(cell.cell_id)
-                    self.chaos.inject_inline(f"cell:{cell.cell_id}", attempt)
                     if self._cell_backend is None:
-                        # No child process to kill/hang: lane faults
-                        # surface as exceptions into this retry loop.
-                        self.chaos.inject_lane_inline(
+                        # No worker process to crash or hang: injected
+                        # faults raise into this retry loop.
+                        self.chaos.inject_inline(
                             f"cell:{cell.cell_id}", attempt
                         )
                 payload = self._execute_cold(key, cell, params, attempt)
@@ -1097,16 +1097,17 @@ class CampaignService:
         """Run one cold cell; in a process backend when lanes demand it.
 
         With one lane (or no process backend) the cell runs right here
-        in the lane thread, exactly as PR 8 did.  With multiple lanes
-        the cell ships to a fork/spawn child so concurrent cold cells
-        use real cores; the child captures its own telemetry and the
-        counters are replayed here (the exec fold-back contract — the
-        lane thread is outside the connection's capture context
-        anyway, so counters land in the process-global base either
-        way).  A child failure — including a chaos-killed or chaos-hung
-        worker, the latter reaped by the ``cell_deadline_s``
-        supervision timeout — re-raises into the caller's retry loop,
-        consuming exactly one retry-budget attempt.
+        in the lane thread.  With multiple lanes the cell ships to a
+        fork/spawn child so concurrent cold cells use real cores (its
+        ``workers`` shard pool nests inside that child); the child
+        captures its own telemetry and the counters are replayed here
+        (the exec fold-back contract — the lane thread is outside the
+        connection's capture context anyway, so counters land in the
+        process-global base either way).  A child failure — including
+        a chaos-crashed, -hung or -failed worker, the hung one reaped
+        by the ``cell_deadline_s`` supervision timeout — re-raises into
+        the caller's retry loop, consuming exactly one retry-budget
+        attempt.
         """
         backend = self._cell_backend
         if backend is None:

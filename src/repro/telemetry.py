@@ -422,9 +422,9 @@ _REQUIRED_WORKERS_KEYS = (
 
 _REQUIRED_SHARD_KEYS = ("shard", "faults", "duration_s", "counters")
 
-# Optional ``failures`` section (resilience layer): one row per unit of
-# work that failed permanently and was quarantined/degraded instead of
-# aborting the run (see repro.resilience.FailureRecord).
+# Optional ``failures`` section (resilience layer): one row per campaign
+# cell that failed permanently and was quarantined instead of aborting
+# the run (see repro.resilience.FailureRecord).
 _REQUIRED_FAILURE_KEYS = ("site", "error", "digest", "attempts", "action")
 
 # Optional ``fault_model`` section (see repro.faults.FaultModelPlan):
@@ -460,13 +460,14 @@ class RunManifest:
     shard row is ``{"shard", "faults", "duration_s", "counters"}``
     aggregated over every sharded run of the flow.
 
-    ``failures`` is the optional resilience section: one row per unit
-    of work (fault shard, campaign cell) that failed *permanently* and
-    was quarantined or degraded under a
-    :class:`repro.resilience.FailurePolicy` instead of aborting the
-    run.  Each row carries ``{"site", "error", "digest", "attempts",
-    "action"}`` (plus free-form ``message``/``detail``); a validated
-    manifest without this section is a run in which nothing was lost.
+    ``failures`` is the optional resilience section: one row per
+    campaign cell that failed *permanently* and was quarantined under
+    :class:`repro.resilience.FailurePolicy` ``quarantine`` instead of
+    aborting the run (a fault shard that fails deterministically
+    raises, so flow manifests never carry it).  Each row carries
+    ``{"site", "error", "digest", "attempts", "action"}`` (plus
+    free-form ``message``/``detail``); a validated manifest without
+    this section is a run in which nothing was lost.
 
     ``fault_model`` is the optional fault-model section (present when a
     flow resolved its fault universe through

@@ -453,7 +453,7 @@ class TestCheckpointRecovery:
 
 
 class TestFailedCells:
-    def _broken_runner(self, store, monkeypatch, policy="degrade", retries=0):
+    def _broken_runner(self, store, monkeypatch, policy="quarantine", retries=0):
         from repro.resilience import RetryPolicy
 
         def explode(cell, params, workers=1, circuit=None, key=None,
@@ -475,6 +475,7 @@ class TestFailedCells:
         result = broken.run()
         assert len(result.failures) == 2
         for record in result.failures:
+            assert record.action == "quarantine"
             assert record.error == "RuntimeError"
             assert record.attempts == 2
             assert len(record.digest) == 12
@@ -516,7 +517,7 @@ class TestCliFailureSurface:
         code = cli_main(
             ["campaign", "run", "--spec", self._spec_path(tmp_path),
              "--store", str(tmp_path / "store"),
-             "--retries", "0", "--failure-policy", "degrade"]
+             "--retries", "0", "--failure-policy", "quarantine"]
         )
         assert code == 2
         out = capsys.readouterr().out

@@ -3,11 +3,12 @@
 The acceptance contract for the resilience layer: with transient chaos
 injected — worker crashes, hangs, raised exceptions, store-artifact
 corruption — ``sharded_coverage`` and ``campaign run`` produce results
-**bit-identical** to the fault-free run, and every retry, fallback,
-quarantine and degradation is visible in telemetry counters and the
-manifest's validated ``failures`` section.  Only *deterministic*
-failures (poisoned faults/cells, which fail in workers and in-process
-alike) may change a result, and then only by the recorded exclusion.
+**bit-identical** to the fault-free run, and every retry, fallback and
+quarantined cell is visible in telemetry counters and the manifest's
+validated ``failures`` section.  Only *deterministic* failures
+(poisoned faults/cells, which fail in workers and in-process alike)
+may change an outcome: a poisoned shard raises, and a poisoned cell
+is quarantined or raises per the campaign's failure policy.
 """
 
 import random
@@ -93,7 +94,6 @@ class TestShardedUnderChaos:
             ChaosConfig(seed=1, crash_rate=1.0)
         )
         assert report == self.baseline
-        assert simulator.failures == []
         assert session.counters["resilience.worker_crash"] == 2
         assert session.counters["resilience.retry"] == 2
         assert simulator.workers_section()["supervision"]["crashes"] == 2
@@ -104,7 +104,6 @@ class TestShardedUnderChaos:
         )
         assert report == self.baseline
         assert session.counters["resilience.worker_exception"] == 2
-        assert simulator.failures == []
 
     def test_worker_hangs_terminated_and_healed(self):
         simulator = ShardedFaultSimulator(
@@ -127,7 +126,6 @@ class TestShardedUnderChaos:
             ChaosConfig(seed=4, exception_rate=1.0, first_attempt_only=False)
         )
         assert report == self.baseline
-        assert simulator.failures == []
         assert session.counters["resilience.fallback_inprocess"] == 2
         section = simulator.workers_section()
         assert section["supervision"]["fallbacks"] == 2
@@ -146,7 +144,6 @@ class TestShardedUnderChaos:
                 chaos=chaos,
             )
             assert simulator.run(self.patterns) == self.baseline
-            assert simulator.failures == []
 
 
 class TestWideEngineUnderChaos:
@@ -181,7 +178,6 @@ class TestWideEngineUnderChaos:
         with telemetry.capture() as session:
             report = simulator.run(self.patterns)
         assert report == self.baseline
-        assert simulator.failures == []
         assert session.counters["resilience.worker_crash"] == 2
         assert session.counters["resilience.retry"] == 2
 
@@ -201,94 +197,32 @@ class TestWideEngineUnderChaos:
 
 
 class TestPoisonedShards:
-    """Deterministic failures: bisection, quarantine, degrade, raise."""
+    """A deterministic shard failure raises, pooled or in-process."""
 
     def setup_method(self):
         self.circuit = c17()
         self.patterns = patterns_for(self.circuit)
         self.faults = collapse_faults(self.circuit)
-        self.baseline = sharded_coverage(
-            self.circuit, self.patterns, faults=self.faults, workers=2
-        )
         self.poison = self.faults[3].name
 
-    def _simulator(self, failure_policy, workers=2):
+    def _simulator(self, workers=2, shards=None):
         return ShardedFaultSimulator(
             self.circuit,
             faults=self.faults,
             workers=workers,
+            shards=shards,
             supervision=fast_supervision(),
-            failure_policy=failure_policy,
             chaos=ChaosConfig(seed=0, poison_faults=(self.poison,)),
         )
 
     def test_raise_policy_propagates(self):
         with pytest.raises(PoisonedFaultError, match=self.poison):
-            self._simulator("raise").run(self.patterns)
+            self._simulator().run(self.patterns)
 
-    @fork_only
-    def test_quarantine_bisects_to_single_fault(self):
-        simulator = self._simulator("quarantine")
-        with telemetry.capture() as session:
-            report = simulator.run(self.patterns)
-        # Exactly the poisoned fault is excluded; every other fault's
-        # row matches the baseline bit for bit.
-        assert [f.name for f in report.faults] == [
-            f.name for f in self.baseline.faults if f.name != self.poison
-        ]
-        for fault in report.faults:
-            assert report.first_detection.get(fault) == (
-                self.baseline.first_detection.get(fault)
-            )
-        (record,) = simulator.failures
-        assert record.action == "quarantine"
-        assert record.detail["faults"] == [self.poison]
-        assert record.error == "PoisonedFaultError"
-        assert session.counters["resilience.quarantined_faults"] == 1
-        assert session.counters["resilience.bisect_runs"] > 1
-
-    @fork_only
-    def test_degrade_excludes_whole_shard(self):
-        simulator = self._simulator("degrade")
-        report = simulator.run(self.patterns)
-        (record,) = simulator.failures
-        assert record.action == "degrade"
-        assert self.poison in record.detail["faults"]
-        excluded = set(record.detail["faults"])
-        assert len(excluded) > 1  # coarser than quarantine
-        assert [f.name for f in report.faults] == [
-            f.name for f in self.baseline.faults if f.name not in excluded
-        ]
-
-    def test_quarantine_works_without_fork_too(self):
-        # The in-process shard/merge path applies the same policy.
-        simulator = ShardedFaultSimulator(
-            self.circuit,
-            faults=self.faults,
-            workers=1,
-            shards=2,
-            failure_policy="quarantine",
-            chaos=ChaosConfig(seed=0, poison_faults=(self.poison,)),
-        )
-        report = simulator.run(self.patterns)
-        assert self.poison not in {f.name for f in report.faults}
-        assert len(report.faults) == len(self.faults) - 1
-
-    def test_every_fault_poisoned_yields_empty_report(self):
-        simulator = ShardedFaultSimulator(
-            self.circuit,
-            faults=self.faults,
-            workers=1,
-            shards=2,
-            failure_policy="degrade",
-            chaos=ChaosConfig(
-                seed=0, poison_faults=tuple(f.name for f in self.faults)
-            ),
-        )
-        report = simulator.run(self.patterns)
-        assert report.faults == []
-        assert report.num_patterns == len(self.patterns)
-        assert len(simulator.failures) == 2
+    def test_poisoned_shard_raises_inprocess_too(self):
+        # The in-process shard/merge path has no pool to retry in.
+        with pytest.raises(PoisonedFaultError, match=self.poison):
+            self._simulator(workers=1, shards=2).run(self.patterns)
 
 
 @fork_only
@@ -315,27 +249,9 @@ class TestAtpgFlowUnderChaos:
             + supervision["retries"]
         ) > 0
 
-    def test_generate_tests_quarantine_reported_in_manifest(self):
-        circuit = c17()
-        poison = collapse_faults(circuit)[0].name
-        result = generate_tests(
-            circuit,
-            random_phase=8,
-            workers=2,
-            supervision=fast_supervision(),
-            failure_policy="quarantine",
-            chaos=ChaosConfig(seed=0, poison_faults=(poison,)),
-        )
-        manifest = result.manifest.to_dict()
-        validate_manifest(manifest)
-        rows = manifest["failures"]
-        assert rows and all(row["action"] == "quarantine" for row in rows)
-        assert all(row["detail"]["faults"] == [poison] for row in rows)
-        assert poison not in {f.name for f in result.report.faults}
-
 
 class TestCampaignUnderChaos:
-    def _runner(self, store, chaos=None, policy="degrade", spec=None):
+    def _runner(self, store, chaos=None, policy="quarantine", spec=None):
         return CampaignRunner(
             spec or tiny_spec(),
             store,
@@ -368,7 +284,7 @@ class TestCampaignUnderChaos:
         assert record.site == f"cell:{cells[0].cell_id}"
         assert record.attempts == 3
         assert poisoned.manifest.stats["failed"] == 1
-        assert poisoned.manifest.to_dict()["failures"][0]["action"] == "degrade"
+        assert poisoned.manifest.to_dict()["failures"][0]["action"] == "quarantine"
         validate_manifest(poisoned.manifest.to_dict())
         assert f"1 cells FAILED" in poisoned.summary
         assert not poisoned.finished

@@ -527,8 +527,10 @@ class TestExecutionLanes:
         return canonical(strip(payloads))
 
     def test_lanes_results_identical_to_single_lane(self, tmp_path):
+        from repro.exec import ForkBackend
+
         spec = tiny_spec(seeds=[0, 1, 2, 3])
-        results = {}
+        payloads = {}
         for lanes in (1, 4):
             harness, client = self._run_daemon(
                 tmp_path / f"store-lanes-{lanes}", lanes=lanes
@@ -537,10 +539,28 @@ class TestExecutionLanes:
                 outcome = client.submit(spec, return_payloads=True)
                 assert outcome.ok
                 assert outcome.done["misses"] == 4  # all cold
-                results[lanes] = self._semantic(outcome.payloads())
+                payloads[lanes] = outcome.payloads()
             finally:
                 harness.stop()
-        assert results[1] == results[4]
+        assert self._semantic(payloads[1]) == self._semantic(payloads[4])
+        if not ForkBackend.available():
+            return
+        # Each lane's forked cold-cell worker starts the cell's own
+        # two-worker shard pool inside it.
+        harness, client = self._run_daemon(
+            tmp_path / "store-nested", lanes=2, workers=2,
+            exec_backend="fork",
+        )
+        try:
+            outcome = client.submit(spec, return_payloads=True)
+        finally:
+            harness.stop()
+        assert all(event["status"] == "ok" for event in outcome.cells)
+        nested = outcome.payloads()
+        assert set(nested) == set(payloads[1])
+        for key, payload in nested.items():
+            assert payload["report"] == payloads[1][key]["report"]
+            assert payload["patterns"] == payloads[1][key]["patterns"]
 
     def test_multilane_daemon_uses_process_backend_when_named(
         self, tmp_path

@@ -380,7 +380,8 @@ class TestClientRetryResume:
 
 
 # ----------------------------------------------------------------------
-# Lane chaos: killed/hung cell workers consume exactly one attempt
+# Worker chaos in lanes: a crashed/hung/failed cell worker consumes
+# exactly one attempt
 # ----------------------------------------------------------------------
 class TestLaneCrashAccounting:
     def _assert_one_retry_one_charge(self, client, service, tenant):
@@ -400,7 +401,7 @@ class TestLaneCrashAccounting:
 
     def test_inline_lane_kill_retries_once_charges_once(self, daemon):
         client, service = daemon(
-            chaos=ChaosConfig(seed=5, lane_kill_rate=1.0), max_retries=1
+            chaos=ChaosConfig(seed=5, crash_rate=1.0), max_retries=1
         )
         self._assert_one_retry_one_charge(client, service, "alice")
 
@@ -409,20 +410,25 @@ class TestLaneCrashAccounting:
 
         if not ForkBackend.available():
             pytest.skip("fork unavailable on this platform")
-        harness = ServiceHarness(
-            tmp_path / "store",
-            chaos=ChaosConfig(seed=5, lane_kill_rate=1.0),
-            max_retries=1,
-            lanes=2,
-            exec_backend="fork",
-        )
-        client = harness.start()
-        try:
-            self._assert_one_retry_one_charge(
-                client, harness.service, "alice"
+        # A worker that os._exits and one that raises cost the same.
+        for name, chaos in (
+            ("crash", ChaosConfig(seed=5, crash_rate=1.0)),
+            ("exception", ChaosConfig(seed=5, exception_rate=1.0)),
+        ):
+            harness = ServiceHarness(
+                tmp_path / f"store-{name}",
+                chaos=chaos,
+                max_retries=1,
+                lanes=2,
+                exec_backend="fork",
             )
-        finally:
-            harness.stop()
+            client = harness.start()
+            try:
+                self._assert_one_retry_one_charge(
+                    client, harness.service, "alice"
+                )
+            finally:
+                harness.stop()
 
     def test_forked_lane_hang_reaped_by_cell_deadline(self, tmp_path):
         from repro.exec import ForkBackend
@@ -431,7 +437,7 @@ class TestLaneCrashAccounting:
             pytest.skip("fork unavailable on this platform")
         harness = ServiceHarness(
             tmp_path / "store",
-            chaos=ChaosConfig(seed=5, lane_hang_rate=1.0, hang_s=30.0),
+            chaos=ChaosConfig(seed=5, hang_rate=1.0, hang_s=30.0),
             max_retries=1,
             lanes=2,
             exec_backend="fork",
@@ -453,7 +459,7 @@ class TestLaneCrashAccounting:
         # the cell fails with a FailureRecord, the daemon survives.
         client, service = daemon(
             chaos=ChaosConfig(
-                seed=5, lane_kill_rate=1.0, first_attempt_only=False
+                seed=5, crash_rate=1.0, first_attempt_only=False
             ),
             max_retries=1,
         )
@@ -463,6 +469,35 @@ class TestLaneCrashAccounting:
         assert charge_lines(service.store.root, "alice") == []
         # The daemon survives the exhausted budget and keeps serving.
         assert client.status()["stats"]["failed"] == 1
+
+    def test_cli_lane_kill_flag_retries_once(self, tmp_path):
+        # ``--chaos-lane-kill`` arms the workers' crash_rate.
+        ready = tmp_path / "ready.json"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro", "serve",
+                "--store", str(tmp_path / "store"),
+                "--ready-file", str(ready),
+                "--chaos-seed", "0", "--chaos-lane-kill", "1.0",
+                "--retries", "1",
+            ],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        )
+        try:
+            info = wait_for_ready(ready, timeout=60)
+            client = ServiceClient(host=info["host"], port=info["port"],
+                                   timeout=120)
+            outcome = client.submit(tiny_spec(seeds=[0]), tenant="alice")
+            assert outcome.ok and outcome.done["misses"] == 1
+            stats = client.status()["stats"]
+            assert stats["retries"] == 1
+            assert stats["failed"] == 0
+            client.shutdown()
+            assert proc.wait(timeout=120) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+            proc.communicate(timeout=30)
 
 
 # ----------------------------------------------------------------------
