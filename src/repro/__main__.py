@@ -196,8 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="run N concurrent execution lanes, fair-share scheduled "
-        "across tenants; cold cells dispatch to a process backend so "
-        "lanes overlap on CPU (default: 1)",
+        "across tenants; cold cells run in the lane thread at N=1 and in "
+        "a process backend at N>1, so lanes overlap on CPU (default: 1)",
     )
     serve.add_argument(
         "--exec-backend",
@@ -264,8 +264,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         help="per-attempt wall-clock bound for a cold cell in a "
-        "process backend; hung workers are terminated and retried "
-        "(default: unbounded)",
+        "process backend (--lanes > 1); hung workers are terminated "
+        "and retried (default: unbounded)",
     )
     chaos_group = serve.add_argument_group(
         "chaos (seeded fault injection for recovery testing)"

@@ -197,19 +197,20 @@ def update_entry(
 def default_baseline_path(bench: str, start: Optional[str] = None) -> str:
     """``BENCH_<bench>.json`` at the repository root.
 
-    ``start`` defaults to this file's directory; the nearest enclosing
-    directory containing a ``.git`` entry (or the filesystem root walk's
-    last directory) anchors the path, so benchmarks and tests resolve
-    the same committed file no matter the working directory.
+    ``start`` defaults to this file's directory.  The walk up stops at
+    the nearest directory holding that file or a ``.git`` entry (so a
+    tree without ``.git``, such as a ``git archive`` export, still finds
+    its committed file); with neither anywhere, ``start`` anchors it.
     """
+    name = f"BENCH_{bench}.json"
     here = os.path.abspath(start or os.path.dirname(__file__))
     current = here
-    while True:
-        if os.path.exists(os.path.join(current, ".git")):
-            break
+    while not any(
+        os.path.exists(os.path.join(current, entry))
+        for entry in (name, ".git")
+    ):
         parent = os.path.dirname(current)
         if parent == current:
-            current = here
-            break
+            return os.path.join(here, name)
         current = parent
-    return os.path.join(current, f"BENCH_{bench}.json")
+    return os.path.join(current, name)

@@ -42,10 +42,12 @@ from .sharded import (
 class Engine(enum.Enum):
     """Selectable combinational fault-simulation engines.
 
-    ``WIDE`` is the production engine (lane-batched union-cone grading
-    over the compiled core; numpy arrays with a dependency-free big-int
-    fallback); ``PARALLEL_PATTERN`` is the single-fault compiled-core
-    engine it is differentially tested against; the others are
+    ``PARALLEL_PATTERN`` (the single-fault compiled-core engine) is the
+    default everywhere: with fault dropping it grades about as fast as
+    ``WIDE`` on ``r1908`` and faster on ``r5315``.  ``WIDE`` (lane-batched
+    union-cone grading over the compiled core; numpy arrays with a
+    big-int fallback) wins without dropping, and the two are
+    differentially tested against each other; the others are
     independent implementations kept as cross-checks and for workloads
     that fit them better (e.g. ``DEDUCTIVE`` when every pattern's full
     fault list is wanted).

@@ -1,7 +1,8 @@
 """Serial fault simulation: the naive baseline.
 
-One fault, one pattern, one full-circuit pass at a time — literally the
-paper's "3001 good machine simulations" (§I-B).  It exists as the
+One fault, one pattern, one full-circuit pass at a time — one fault-free
+pass per pattern plus one faulty pass per fault, literally the paper's
+"3001 good machine simulations" (§I-B).  It exists as the
 reference implementation (trivially correct) and as the baseline the
 Eq. (1) runtime-scaling benchmark measures against the packed engines.
 """
@@ -58,18 +59,22 @@ class SerialFaultSimulator:
             net_values[gate.output] = value
         return net_values
 
-    def detects(self, pattern: Pattern, fault: Fault) -> bool:
-        """Does one pattern detect one fault (reference semantics)?"""
+    def _differs(self, good: dict, pattern: Pattern, fault: Fault) -> bool:
+        """Does ``fault`` flip a primary output of the good pass ``good``?"""
         site = fault_site_net(fault, self._branch_map)
-        good = self._evaluate(pattern, None, 0)
         faulty = self._evaluate(pattern, site, fault.value)
         return any(
             good[net] != faulty[net] for net in self.circuit.outputs
         )
 
+    def detects(self, pattern: Pattern, fault: Fault) -> bool:
+        """Does one pattern detect one fault (reference semantics)?"""
+        return self._differs(self._evaluate(pattern, None, 0), pattern, fault)
+
     def detected_faults(self, pattern: Pattern) -> List[Fault]:
         """All listed faults detected by one pattern (engine-API hook)."""
-        return [f for f in self.faults if self.detects(pattern, f)]
+        good = self._evaluate(pattern, None, 0)
+        return [f for f in self.faults if self._differs(good, pattern, f)]
 
     def run(self, patterns: Sequence[Pattern]) -> CoverageReport:
         """Run and collect the results."""
@@ -85,9 +90,10 @@ class SerialFaultSimulator:
             for index, pattern in enumerate(patterns):
                 if not remaining:
                     break
+                good = self._evaluate(pattern, None, 0)
                 still = []
                 for fault in remaining:
-                    if self.detects(pattern, fault):
+                    if self._differs(good, pattern, fault):
                         report.first_detection[fault] = index
                     else:
                         still.append(fault)

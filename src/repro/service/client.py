@@ -250,31 +250,34 @@ class ServiceClient:
             spec_dict, tenant=tenant, return_payloads=return_payloads,
             priority=priority,
         )
-        if retry is None and resume_deadline_s is None:
-            for event in self.request_iter(message):
-                if event.get("event") == EVENT_ERROR:
-                    raise ServiceError(
-                        event.get("error", "unknown error"),
-                        code=event.get("code", "error"),
-                    )
-                yield event
-            return
-        if retry is None:
-            retry = RetryPolicy()
-        if resume_deadline_s is None:
-            resume_deadline_s = self.timeout
-        deadline = time.monotonic() + resume_deadline_s
-        job_id: Optional[str] = None
-        last_seq = -1
+        yield from self._stream(message, None, -1, retry, resume_deadline_s)
+
+    def _stream(
+        self, message: Optional[Dict[str, Any]], job_id: Optional[str],
+        last_seq: int, retry: Optional[RetryPolicy],
+        resume_deadline_s: Optional[float],
+    ) -> Iterator[Dict[str, Any]]:
+        """The one stream loop behind :meth:`submit_iter` and
+        :meth:`resume_iter`: sends ``message`` until a ``job_id`` is
+        known, then ``resume`` after the last ``seq`` seen.  With no
+        retry budget (neither ``retry`` nor ``resume_deadline_s``) a
+        connection error raises at once and a clean EOF ends the stream.
+        """
+        deadline = None
+        if retry is not None or resume_deadline_s is not None:
+            retry = retry or RetryPolicy()
+            if resume_deadline_s is None:
+                resume_deadline_s = self.timeout
+            deadline = time.monotonic() + resume_deadline_s
         attempt = 0
         while True:
             request = (
                 message if job_id is None else resume_request(job_id, last_seq)
             )
             try:
-                saw_done = False
                 for event in self.request_iter(request):
-                    if event.get("event") == EVENT_ERROR:
+                    kind = event.get("event")
+                    if kind == EVENT_ERROR:
                         raise ServiceError(
                             event.get("error", "unknown error"),
                             code=event.get("code", "error"),
@@ -284,12 +287,12 @@ class ServiceClient:
                         if seq <= last_seq:
                             continue  # replayed duplicate after a resume
                         last_seq = seq
-                    if event.get("event") == EVENT_ACCEPTED and job_id is None:
+                    if kind == EVENT_ACCEPTED and job_id is None:
                         job_id = event.get("job_id")
                     yield event
-                    if event.get("event") == EVENT_DONE:
-                        saw_done = True
-                if saw_done:
+                    if kind == EVENT_DONE:
+                        return
+                if deadline is None:
                     return
                 # Clean EOF without a terminal event: the daemon (or a
                 # proxy) closed on us mid-job — treat as a drop.
@@ -298,7 +301,7 @@ class ServiceClient:
                     code="connection",
                 )
             except ServiceError as exc:
-                if exc.code != "connection":
+                if exc.code != "connection" or deadline is None:
                     raise
                 site = f"service:{self.host}:{self.port}"
                 if not retry.wait_until(site, attempt, deadline):
@@ -320,14 +323,21 @@ class ServiceClient:
         resume_deadline_s: Optional[float] = None,
     ) -> SubmitOutcome:
         """Submit a spec and collect the full response stream."""
-        accepted: Optional[Dict[str, Any]] = None
-        cells: List[Dict[str, Any]] = []
-        done: Dict[str, Any] = {}
-        for event in self.submit_iter(
+        return self._collect(self.submit_iter(
             spec, tenant=tenant, return_payloads=return_payloads,
             priority=priority, retry=retry,
             resume_deadline_s=resume_deadline_s,
-        ):
+        ))
+
+    @staticmethod
+    def _collect(
+        events: Iterator[Dict[str, Any]],
+        accepted: Optional[Dict[str, Any]] = None,
+    ) -> SubmitOutcome:
+        """Classify a job's stream into a :class:`SubmitOutcome`."""
+        cells: List[Dict[str, Any]] = []
+        done: Dict[str, Any] = {}
+        for event in events:
             kind = event.get("event")
             if kind == EVENT_ACCEPTED:
                 accepted = event
@@ -337,8 +347,7 @@ class ServiceClient:
                 done = event
         if accepted is None or not done:
             raise ServiceError(
-                "submission stream ended before accepted/done",
-                code="connection",
+                "job stream ended before accepted/done", code="connection"
             )
         return SubmitOutcome(accepted=accepted, cells=cells, done=done)
 
@@ -350,13 +359,7 @@ class ServiceClient:
         Yields the replayed-then-live events; a terminal ``error``
         (including ``unknown_job``) raises :class:`ServiceError`.
         """
-        for event in self.request_iter(resume_request(job_id, after_seq)):
-            if event.get("event") == EVENT_ERROR:
-                raise ServiceError(
-                    event.get("error", "unknown error"),
-                    code=event.get("code", "error"),
-                )
-            yield event
+        yield from self._stream(None, job_id, after_seq, None, None)
 
     def resume(self, job_id: str, after_seq: int = -1) -> SubmitOutcome:
         """Resume a job and collect the rest of its stream.
@@ -364,22 +367,9 @@ class ServiceClient:
         ``accepted`` is synthesized from ``job_id`` when the resume
         point is past the accepted event (``after_seq >= 0``).
         """
-        accepted: Dict[str, Any] = {"job_id": job_id}
-        cells: List[Dict[str, Any]] = []
-        done: Dict[str, Any] = {}
-        for event in self.resume_iter(job_id, after_seq):
-            kind = event.get("event")
-            if kind == EVENT_ACCEPTED:
-                accepted = event
-            elif kind == EVENT_CELL:
-                cells.append(event)
-            elif kind == EVENT_DONE:
-                done = event
-        if not done:
-            raise ServiceError(
-                "resume stream ended before done", code="connection"
-            )
-        return SubmitOutcome(accepted=accepted, cells=cells, done=done)
+        return self._collect(
+            self.resume_iter(job_id, after_seq), accepted={"job_id": job_id}
+        )
 
     def status(self) -> Dict[str, Any]:
         """The daemon's live counters, store stats, and tenant usage."""

@@ -46,12 +46,13 @@ Architecture (one process, one event loop):
   optional ``priority`` field biases order within a
   tenant).  Lane telemetry is safe because
   :func:`repro.telemetry.capture` is contextvar-scoped and re-entrant
-  across threads.  With more than one lane, cold cells execute in a
-  :mod:`repro.exec` *process* backend (fork where available, else
-  spawn) so lanes actually overlap on CPU-bound work instead of
-  serializing on the GIL — store hits stay in the lane thread, where
-  they overlap on I/O.  Intra-cell parallelism still comes from the
-  sharded executor (``workers=N`` per cell).
+  across threads.  Store hits stay in the lane thread, where they
+  overlap on I/O.  A cold cell is one supervised :mod:`repro.exec`
+  task: inline in the lane thread with one lane, in a *process*
+  backend (fork where available, else spawn) with more, so lanes
+  overlap on CPU-bound work instead of serializing on the GIL.
+  Intra-cell parallelism still comes from the sharded executor
+  (``workers=N`` per cell).
 * **Tenant isolation** — a poisoned netlist fails *its* cell: the
   failure is retried per :class:`~repro.resilience.RetryPolicy`, then
   recorded as a :class:`~repro.resilience.FailureRecord` and streamed
@@ -73,10 +74,10 @@ Architecture (one process, one event loop):
 * **Daemon chaos** — a :class:`~repro.resilience.ChaosConfig` can turn
   the service's own failure modes on, seeded: abort a client
   connection mid-stream (``drop_client_rate``; the client resumes),
-  crash, hang or fail a cold cell's worker with the shard workers'
-  ``crash_rate`` / ``hang_rate`` / ``exception_rate`` (one
-  retry-budget attempt, charged once), SIGKILL the whole daemon after
-  N cold cells
+  crash, hang or fail a cold cell's task with the shard workers'
+  ``crash_rate`` / ``hang_rate`` / ``exception_rate`` (really in a
+  worker process, as an exception in the lane thread; one retry-budget
+  attempt, charged once), SIGKILL the whole daemon after N cold cells
   (``daemon_kill_after_cells``; restart recovery replays the
   journal), and tear the journal tail mid-append
   (``corrupt_journal_rate``; replay skips it).  Chaos runs must end
@@ -104,8 +105,10 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from .. import telemetry
 from ..campaign.runner import cell_cache_key, encode_cell_result, execute_cell
 from ..campaign.spec import CampaignCell, CampaignSpec
-from ..exec.backends import ExecutorBackend, create_backend
-from ..resilience import ChaosConfig, FailurePolicy, RetryPolicy, failure_record
+from ..exec.backends import ExecutorBackend, InlineBackend, create_backend
+from ..resilience import (
+    ChaosConfig, FailurePolicy, FailureRecord, RetryPolicy, failure_record,
+)
 from ..resilience.supervisor import SupervisionPolicy
 from ..store import KIND_CAMPAIGN_CELL, LifecyclePolicy, ResultStore
 from ..store.store import write_atomic
@@ -142,32 +145,30 @@ __all__ = [
 ]
 
 
-class CellExecutionError(Exception):
-    """A cold cell failed inside a process backend (crash/hang/raise)."""
-
-
 def _cold_cell_task(
     payload: Tuple[
         CampaignCell, Dict[str, Any], int, str, Optional[str],
-        Optional[ChaosConfig], int,
+        Optional[ChaosConfig], bool,
     ],
     task: int,
     attempt: int,
 ) -> Tuple[Dict[str, Any], Dict[str, int]]:
-    """Backend task: run one cold cell in a child process.
+    """Backend task: run one cold cell, whatever the lane count.
 
-    Module-level so the spawn backend can pickle it.  The child runs
-    under its own :func:`telemetry.capture` and returns the counters
-    alongside the encoded payload — the parent lane replays them (the
-    exec fold-back contract; child-process counters would otherwise
-    vanish with the child).  Worker chaos (crash/hang/exception) is
-    shipped in the payload and injected *here*, in the child, with the
-    lane's retry attempt — never in the daemon process.
+    Module-level so the spawn backend can pickle it.  A poisoned cell
+    raises on every attempt; worker chaos is injected by isolation, as
+    in ``_shard_task`` (``inject_worker`` in a worker process,
+    ``inject_inline`` in the lane thread).  The cell runs under its own
+    :func:`telemetry.capture` and returns the counters with the encoded
+    payload, for the lane to replay when the backend
+    ``replays_counters`` (a child's counters would vanish with it).
     """
-    del task, attempt  # one cell per map call; retries live in the lane
-    (cell, params, workers, key, backend_spec, chaos, lane_attempt) = payload
+    del task  # one cell per map call
+    cell, params, workers, key, backend_spec, chaos, isolated = payload
     if chaos is not None:
-        chaos.inject_worker(f"cell:{cell.cell_id}", lane_attempt)
+        chaos.check_poison_cell(cell.cell_id)
+        inject = chaos.inject_worker if isolated else chaos.inject_inline
+        inject(f"cell:{cell.cell_id}", attempt)
     with telemetry.capture() as session:
         result = execute_cell(
             cell, params, workers=workers, key=key, backend=backend_spec
@@ -201,9 +202,9 @@ class ServiceConfig:
     #: Finished jobs kept resumable (event buffers retained).  Open
     #: jobs are never evicted from the resume table.
     job_history: int = 64
-    #: Per-attempt wall-clock bound for a cold cell in a process
-    #: backend (supervision timeout — how hung lane workers die).
-    #: None = unbounded; inline execution cannot be deadlined.
+    #: Per-attempt wall-clock bound for a cold cell's task (supervision
+    #: timeout — how hung lane workers die).  None = unbounded; only
+    #: process backends enforce it, so one lane (inline) ignores it.
     cell_deadline_s: Optional[float] = None
 
     def lifecycle(self) -> LifecyclePolicy:
@@ -238,7 +239,6 @@ class ServiceStats:
     shared: int = 0
     failed: int = 0
     rejected: int = 0
-    evicted: int = 0
     recovered: int = 0
     resumed: int = 0
     retries: int = 0
@@ -335,11 +335,11 @@ class CampaignService:
         self._conn_tasks: set = set()
         # One executor thread per lane; lanes overlap on store I/O, and
         # cold cells escape the GIL through a process backend when
-        # lanes > 1 (see _cold_backend).
+        # there are lanes to overlap (see _resolve_cell_backend).
         self._executor = ThreadPoolExecutor(
             max_workers=self.lanes, thread_name_prefix="repro-serve"
         )
-        self._cell_backend: Optional[ExecutorBackend] = None
+        self._cell_backend = self._resolve_cell_backend()
         # Job numbering continues across restarts (journal watermark),
         # so a recovered daemon never reuses a journaled job_id.
         self._jobs_seq = self.journal.next_job_number
@@ -365,11 +365,6 @@ class CampaignService:
         self._idle = asyncio.Event()
         self._idle.set()
         self._stop = asyncio.Event()
-        if self.lanes > 1:
-            # Lanes must not serialize on the GIL for cold (CPU-bound)
-            # cells: dispatch those into a process backend.  When no
-            # process backend exists the lanes still overlap store I/O.
-            self._cell_backend = self._resolve_cell_backend()
         # Recover journaled jobs *before* the socket binds: on a fixed
         # port a resuming client may connect the instant the port is
         # live, and it must find its job registered, not unknown_job.
@@ -403,25 +398,24 @@ class CampaignService:
             self._write_ready_file()
         return self.address
 
-    def _resolve_cell_backend(self) -> Optional[ExecutorBackend]:
-        """A process backend for cold cells, or None (inline in lane).
+    def _resolve_cell_backend(self) -> ExecutorBackend:
+        """The backend cold cells run in: a process pool, else inline.
 
-        Auto-selection (``exec_backend=None``) also requires >= 2
-        cores: process dispatch exists to put lanes on separate cores,
-        and on a single-core machine it is pure fork/pickle overhead.
-        An explicitly named backend is honored regardless.
+        One lane has nothing to overlap, so its cells run inline in the
+        lane thread (a fork per cell is pure overhead).  More lanes
+        need a process backend to escape the GIL; auto-selection
+        (``exec_backend=None``) also requires >= 2 cores, while an
+        explicitly named backend is honored regardless.  A backend that
+        is not isolated (inline, thread-lane) or not available here
+        degrades to inline; the lanes still overlap store I/O.
         """
         explicit = self.config.exec_backend is not None
-        if not explicit and (os.cpu_count() or 1) < 2:
-            return None
+        if self.lanes == 1 or (not explicit and (os.cpu_count() or 1) < 2):
+            return InlineBackend()
         backend = create_backend(self.config.exec_backend)
-        if not backend.isolated:
-            # inline / thread-lane cannot escape the GIL for CPU-bound
-            # cell execution; run cells directly in the lane thread.
-            return None
-        if not type(backend).available():
-            return None
-        return backend
+        if backend.isolated and type(backend).available():
+            return backend
+        return InlineBackend()
 
     def _write_ready_file(self) -> None:
         host, port = self.address
@@ -533,7 +527,7 @@ class CampaignService:
                 "lanes": self.lanes,
                 "exec_backend": (
                     self._cell_backend.name
-                    if self._cell_backend is not None
+                    if self._cell_backend.isolated
                     else None
                 ),
                 "max_retries": self.config.max_retries,
@@ -544,7 +538,7 @@ class CampaignService:
             stats={
                 "failed": self.stats.failed,
                 "rejected": self.stats.rejected,
-                "evicted": self.stats.evicted,
+                "evicted": self.store.stats.evicted,
             },
             service=self.service_section(),
         ).validate()
@@ -989,7 +983,7 @@ class CampaignService:
                     outcome, retries = await loop.run_in_executor(
                         self._executor, self._execute, key, cell, params
                     )
-                except Exception as exc:  # defensive: _execute catches
+                except Exception as exc:  # a store read/write error
                     outcome, retries = (
                         None,
                         False,
@@ -1027,51 +1021,48 @@ class CampaignService:
     def _execute(
         self, key: str, cell: CampaignCell, params: Dict[str, Any]
     ) -> Tuple[
-        Tuple[Optional[Dict[str, Any]], bool, Optional[Any]], int
+        Tuple[Optional[Dict[str, Any]], bool, Optional[FailureRecord]], int
     ]:
-        """One cell, in the worker thread: store-first, retried, isolated.
+        """One cell, in the lane thread: a store hit or one exec task.
 
         Returns ``((payload, cached, failure), retries)`` — exactly one
-        of ``payload`` / ``failure`` is set.  Any exception (a poisoned
+        of ``payload`` / ``failure`` is set.  A cold cell is one task of
+        the cell backend's supervised ``map``, retried per the daemon's
+        :class:`RetryPolicy` and deadlined by ``cell_deadline_s`` where
+        the backend can.  A task that exhausts its budget (a poisoned
         netlist, a flow bug, injected worker chaos) becomes a
-        :class:`FailureRecord` after the retry budget; it never
-        propagates into the daemon.
+        :class:`FailureRecord` under its own error; it never propagates
+        into the daemon.
         """
-        attempt = 0
-        while True:
-            try:
-                payload = self.store.get(key, KIND_CAMPAIGN_CELL)
-                if payload is not None:
-                    return (payload, True, None), attempt
-                if self.chaos is not None:
-                    self.chaos.check_poison_cell(cell.cell_id)
-                    if self._cell_backend is None:
-                        # No worker process to crash or hang: injected
-                        # faults raise into this retry loop.
-                        self.chaos.inject_inline(
-                            f"cell:{cell.cell_id}", attempt
-                        )
-                payload = self._execute_cold(key, cell, params, attempt)
-                self.store.put(key, KIND_CAMPAIGN_CELL, payload)
-                self._maybe_kill_daemon()
-                return (payload, False, None), attempt
-            except Exception as exc:
-                if attempt < self.retry.max_retries:
-                    telemetry.incr("service.cell.retry")
-                    self.retry.wait(f"cell:{cell.cell_id}", attempt)
-                    attempt += 1
-                    continue
-                return (
-                    None,
-                    False,
-                    failure_record(
-                        f"cell:{cell.cell_id}",
-                        exc,
-                        attempts=attempt + 1,
-                        action=self.failure_policy.value,
-                        detail={"cell_id": cell.cell_id, "key": key},
-                    ),
-                ), attempt
+        payload = self.store.get(key, KIND_CAMPAIGN_CELL)
+        if payload is not None:
+            return (payload, True, None), 0
+        backend = self._cell_backend
+        outcome = backend.map(
+            _cold_cell_task,
+            (cell, dict(params), self.config.workers, key,
+             self.config.exec_backend, self.chaos, backend.isolated),
+            [0],
+            policy=SupervisionPolicy(
+                timeout_s=self.config.cell_deadline_s, retry=self.retry
+            ),
+        )
+        if 0 in outcome.failed:
+            failed = outcome.failed[0]
+            failure = FailureRecord(
+                site=f"cell:{cell.cell_id}", error=failed.error,
+                message=failed.message, digest=failed.digest,
+                attempts=failed.attempts, action=self.failure_policy.value,
+                detail={"cell_id": cell.cell_id, "key": key},
+            )
+            return (None, False, failure), outcome.retries
+        payload, counters = outcome.results[0]
+        if backend.replays_counters:
+            for name, value in counters.items():
+                telemetry.incr(name, value)
+        self.store.put(key, KIND_CAMPAIGN_CELL, payload)
+        self._maybe_kill_daemon()
+        return (payload, False, None), outcome.retries
 
     def _maybe_kill_daemon(self) -> None:
         """Chaos ``daemon_kill_after_cells``: SIGKILL-equivalent, now.
@@ -1086,60 +1077,6 @@ class CampaignService:
         self._cold_done += 1
         if self._cold_done >= self.chaos.daemon_kill_after_cells:
             os._exit(137)
-
-    def _execute_cold(
-        self,
-        key: str,
-        cell: CampaignCell,
-        params: Dict[str, Any],
-        attempt: int = 0,
-    ) -> Dict[str, Any]:
-        """Run one cold cell; in a process backend when lanes demand it.
-
-        With one lane (or no process backend) the cell runs right here
-        in the lane thread.  With multiple lanes the cell ships to a
-        fork/spawn child so concurrent cold cells use real cores (its
-        ``workers`` shard pool nests inside that child); the child
-        captures its own telemetry and the counters are replayed here
-        (the exec fold-back contract — the lane thread is outside the
-        connection's capture context anyway, so counters land in the
-        process-global base either way).  A child failure — including
-        a chaos-crashed, -hung or -failed worker, the hung one reaped
-        by the ``cell_deadline_s`` supervision timeout — re-raises into
-        the caller's retry loop, consuming exactly one retry-budget
-        attempt.
-        """
-        backend = self._cell_backend
-        if backend is None:
-            result = execute_cell(
-                cell,
-                params,
-                workers=self.config.workers,
-                key=key,
-                backend=self.config.exec_backend,
-            )
-            return encode_cell_result(result)
-        outcome = backend.map(
-            _cold_cell_task,
-            (cell, dict(params), self.config.workers, key,
-             self.config.exec_backend, self.chaos, attempt),
-            [0],
-            workers=1,
-            policy=SupervisionPolicy(
-                timeout_s=self.config.cell_deadline_s,
-                retry=RetryPolicy(max_retries=0),
-            ),
-        )
-        if 0 in outcome.results:
-            payload, counters = outcome.results[0]
-            for name, value in counters.items():
-                telemetry.incr(name, value)
-            return payload
-        failure = outcome.failed[0]
-        raise CellExecutionError(
-            f"{failure.error}: {failure.message} "
-            f"(kind={failure.kind}, backend={backend.name})"
-        )
 
     def _charge(self, tenant: str, key: str) -> None:
         """Charge a cold artifact's bytes to the tenant that caused it."""

@@ -282,6 +282,9 @@ class TestLifecycleUnderLoad:
         assert len(outcome.payloads()) == 4
         assert all(e["status"] == "ok" for e in outcome.cells)
         assert service.store.stats.evicted > 0
+        # The drain manifest reports the store's own eviction count.
+        manifest = json.loads(service.write_manifest().read_text())
+        assert manifest["stats"]["evicted"] == service.store.stats.evicted
 
     def test_shutdown_writes_validated_service_manifest(self, daemon,
                                                         tmp_path):
@@ -588,7 +591,7 @@ class TestExecutionLanes:
             tmp_path / "store", lanes=2, exec_backend="inline"
         )
         try:
-            assert harness.service._cell_backend is None
+            assert not harness.service._cell_backend.isolated
             assert client.submit(tiny_spec()).ok
         finally:
             harness.stop()

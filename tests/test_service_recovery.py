@@ -454,7 +454,17 @@ class TestLaneCrashAccounting:
         finally:
             harness.stop()
 
-    def test_exhausted_lane_kills_fail_cleanly(self, daemon):
+    def _assert_exhausted_fails_cleanly(self, client, service, error):
+        outcome = client.submit(tiny_spec(seeds=[0]), tenant="alice")
+        assert not outcome.ok
+        # The failure is recorded under the task's own error.
+        assert outcome.failures[0]["attempts"] == 2
+        assert outcome.failures[0]["error"] == error
+        assert charge_lines(service.store.root, "alice") == []
+        # The daemon survives the exhausted budget and keeps serving.
+        assert client.status()["stats"]["failed"] == 1
+
+    def test_exhausted_lane_kills_fail_cleanly(self, daemon, tmp_path):
         # first_attempt_only=False keeps killing through the budget:
         # the cell fails with a FailureRecord, the daemon survives.
         client, service = daemon(
@@ -463,12 +473,34 @@ class TestLaneCrashAccounting:
             ),
             max_retries=1,
         )
-        outcome = client.submit(tiny_spec(seeds=[0]), tenant="alice")
-        assert not outcome.ok
-        assert outcome.failures[0]["attempts"] == 2
-        assert charge_lines(service.store.root, "alice") == []
-        # The daemon survives the exhausted budget and keeps serving.
-        assert client.status()["stats"]["failed"] == 1
+        self._assert_exhausted_fails_cleanly(client, service, "ChaosError")
+        from repro.exec import ForkBackend
+
+        if not ForkBackend.available():
+            pytest.skip("fork unavailable on this platform")
+        # A forked cell fails the same way, under the worker's error.
+        for name, chaos, error in (
+            ("exception", ChaosConfig(seed=5, exception_rate=1.0,
+                                      first_attempt_only=False),
+             "ChaosError"),
+            ("crash", ChaosConfig(seed=5, crash_rate=1.0,
+                                  first_attempt_only=False),
+             "WorkerCrash"),
+        ):
+            harness = ServiceHarness(
+                tmp_path / f"store-{name}",
+                chaos=chaos,
+                max_retries=1,
+                lanes=2,
+                exec_backend="fork",
+            )
+            forked_client = harness.start()
+            try:
+                self._assert_exhausted_fails_cleanly(
+                    forked_client, harness.service, error
+                )
+            finally:
+                harness.stop()
 
     def test_cli_lane_kill_flag_retries_once(self, tmp_path):
         # ``--chaos-lane-kill`` arms the workers' crash_rate.
