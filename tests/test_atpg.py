@@ -25,6 +25,7 @@ from repro.atpg import (
 )
 from repro.circuits import (
     alu74181,
+    binary_counter,
     c17,
     carry_lookahead_adder,
     majority3,
@@ -35,7 +36,7 @@ from repro.circuits import (
 )
 from repro.faults import Fault, all_faults, collapse_faults
 from repro.faultsim import FaultSimulator
-from repro.netlist import Circuit
+from repro.netlist import Circuit, NetlistError
 
 
 def redundant_circuit():
@@ -112,6 +113,10 @@ class TestPodem:
                 filled[net] << i for i, net in enumerate(circuit.inputs)
             )
             assert minterm in minterms
+
+    def test_sequential_circuit_rejected(self):
+        with pytest.raises(NetlistError):
+            PodemGenerator(binary_counter(3))
 
     def test_backtrack_limit_reported(self):
         circuit = carry_lookahead_adder(4)
