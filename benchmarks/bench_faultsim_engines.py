@@ -1,21 +1,19 @@
 """Per-engine fault-simulation throughput, with cross-engine agreement.
 
 Measures patterns/second for every combinational engine on the circuits
-the paper argues about (the SN74181 ALU and random logic), and pins the
-two hard guarantees of the compiled-core refactor:
+the paper argues about (the SN74181 ALU and random logic), and pins
+three guarantees:
 
 1. **Agreement** — all engines (serial, deductive, parallel-fault,
-   parallel-pattern compiled and pre-compiled baseline, wide) report
-   the identical detected-fault set; any disagreement fails the run.
-2. **Speedup** — the compiled parallel-pattern engine is at least 3x
-   the pre-compiled-core (seed) engine in patterns/sec on the 74181.
-3. **Wide speedup** — the lane-batched wide engine (numpy backend) is
+   parallel-pattern, wide) report the identical detected-fault set;
+   any disagreement fails the run.
+2. **Wide speedup** — the lane-batched wide engine (numpy backend) is
    at least 3x the compiled parallel-pattern engine on an
    ISCAS-85-scale circuit (r1908: ~880 gates, full collapsed fault
    list, 1024 patterns, no fault dropping).  Small workloads cannot
    amortize the fixed per-vector-op cost, which is why the gate runs
    the full-scale workload even under ``--quick``.
-4. **Sharded exactness + speedup** — sharded multi-process sequential
+3. **Sharded exactness + speedup** — sharded multi-process sequential
    verification of the registered-74181 scan schedule produces the
    bit-identical coverage report as the single process, and with 4
    workers is at least 2x faster wall-clock *when the machine has >= 4
@@ -64,7 +62,6 @@ from repro.faultsim import (
 from repro.scan import insert_scan, sample_fault_list, schedule_scan_tests
 from repro.atpg import generate_tests
 
-MIN_SPEEDUP = 3.0
 MIN_WIDE_SPEEDUP = 3.0
 MIN_SHARDED_SPEEDUP = 2.0
 SHARDED_WORKERS = 4
@@ -147,10 +144,6 @@ def agreement_table(circuit, patterns):
 
     for engine in Engine:
         measure(engine.value, create_simulator(circuit, engine, faults=faults))
-    measure(
-        "parallel_pattern (seed)",
-        FaultSimulator(circuit, faults=faults, compiled=False),
-    )
     return rows, detected, manifests
 
 
@@ -172,68 +165,6 @@ def check_agreement(circuit, patterns):
         )
     print(f"all engines agree: {len(reference)} faults detected")
     return manifests
-
-
-def measure_speedup(patterns_count):
-    """Compiled vs seed parallel-pattern engine on the 74181 ALU.
-
-    ``drop_detected=False`` keeps every fault live through every batch,
-    so both engines do the same amount of work and the ratio isolates
-    the compiled core + fault-cone caching.
-    """
-    circuit = alu74181()
-    faults = collapse_faults(circuit)
-    patterns = _random_patterns(circuit, patterns_count, seed=74181)
-
-    compiled = FaultSimulator(circuit, faults=faults)
-    seed_engine = FaultSimulator(circuit, faults=faults, compiled=False)
-    # Warm both (compile cache, cone caches) so timing measures steady state.
-    compiled.run(patterns[:16])
-    seed_engine.run(patterns[:16])
-
-    # Best-of-3 per engine, interleaved — see measure_wide_speedup for
-    # the rationale.  The compiled run finishes in milliseconds, so a
-    # single sample is especially jitter-prone.
-    report_fast = report_seed = None
-    fast = slow = float("inf")
-    for _ in range(3):
-        report_f, manifest_fast, elapsed = _manifest_run(
-            "parallel_pattern", circuit, compiled, patterns, drop_detected=False
-        )
-        # The compiled engine's cone caches were warmed above, so the
-        # measured run must be reusing them rather than rebuilding.
-        if manifest_fast.counters.get("sim.compiled.compiles", 0):
-            raise SystemExit("compile cache missed during the measured run")
-        if elapsed < fast:
-            report_fast, fast = report_f, elapsed
-        report_s, _, elapsed = _manifest_run(
-            "parallel_pattern (seed)",
-            circuit,
-            seed_engine,
-            patterns,
-            drop_detected=False,
-        )
-        if elapsed < slow:
-            report_seed, slow = report_s, elapsed
-    speedup = slow / fast
-    print_table(
-        f"Parallel-pattern speedup on {circuit.name} "
-        f"({len(faults)} faults, {patterns_count} patterns, no dropping)",
-        ["engine", "seconds", "patterns/sec", "speedup"],
-        [
-            ("seed (pre-compiled-core)", f"{slow:.3f}", f"{patterns_count / slow:.0f}", "1.0x"),
-            ("compiled + fault cones", f"{fast:.3f}", f"{patterns_count / fast:.0f}", f"{speedup:.1f}x"),
-        ],
-    )
-    if frozenset(report_fast.first_detection) != frozenset(
-        report_seed.first_detection
-    ):
-        raise SystemExit("ENGINE DISAGREEMENT: compiled vs seed on 74181")
-    if speedup < MIN_SPEEDUP:
-        raise SystemExit(
-            f"speedup {speedup:.2f}x below the required {MIN_SPEEDUP}x"
-        )
-    return speedup
 
 
 def measure_wide_speedup():
@@ -487,9 +418,6 @@ def main(argv=None):
         rand = random_combinational(10, 120, seed=5)
         check_agreement(rand, _random_patterns(rand, 32, seed=2))
 
-    mode = "quick" if args.quick else "full"
-    speedup = measure_speedup(128 if args.quick else 512)
-    print(f"OK: compiled parallel-pattern engine is {speedup:.1f}x the seed engine")
     wide_speedup, wide_circuit, wide_workload = measure_wide_speedup()
     print(
         f"OK: wide engine is {wide_speedup:.1f}x the compiled "
@@ -497,17 +425,6 @@ def main(argv=None):
     )
     check_baseline(
         [
-            (
-                f"compiled-vs-seed/{mode}",
-                alu.name,
-                {
-                    "faults": len(collapse_faults(alu)),
-                    "patterns": 128 if args.quick else 512,
-                    "drop_detected": False,
-                },
-                speedup,
-                MIN_SPEEDUP,
-            ),
             (
                 "wide-vs-parallel-pattern",
                 wide_circuit,

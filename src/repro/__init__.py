@@ -11,11 +11,11 @@ Quick start::
 
     from repro import circuits
     from repro.atpg import generate_tests
-    from repro.faultsim import fault_coverage
+    from repro.faultsim import engine_coverage
 
     c = circuits.c17()
     result = generate_tests(c)
-    report = fault_coverage(c, result.patterns)
+    report = engine_coverage(c, result.patterns)
     print(report)
 """
 

@@ -136,9 +136,12 @@ def dominance_collapse(circuit: Circuit) -> List[Fault]:
 
     Fault ``a`` dominates ``b`` when every test for ``b`` also detects
     ``a``; the dominated representative suffices.  Gate-local rule: an
-    AND output SA1 dominates each input SA1 (so the output fault can be
-    dropped when any input-SA1 representative remains); dually for
-    OR/NOR/NAND.
+    AND output SA1 dominates each input SA1, so the output fault can be
+    dropped when an input-SA1 representative remains *and has a test*;
+    dually for OR/NOR/NAND.  A redundant input fault covers nothing, so
+    the drop waits for :class:`~repro.atpg.podem.PodemGenerator` to
+    find a test for one of them; sequential circuits keep every
+    equivalence representative.
     """
     classes = equivalence_classes(circuit)
     representative: Dict[Fault, Fault] = {}
@@ -148,6 +151,11 @@ def dominance_collapse(circuit: Circuit) -> List[Fault]:
             representative[member] = rep
 
     kept: Set[Fault] = set(representative.values())
+    if not circuit.is_combinational:
+        return sorted(kept, key=lambda f: f.name)
+    from ..atpg.podem import PodemGenerator
+
+    podem = PodemGenerator(circuit)
     for gate in circuit.gates:
         kind = gate.kind
         if kind in (GateType.AND, GateType.NAND):
@@ -162,8 +170,8 @@ def dominance_collapse(circuit: Circuit) -> List[Fault]:
         if out_fault is None or out_fault not in kept:
             continue
         # Output fault is dominated by any input-branch fault; drop it if
-        # at least one dominating branch representative survives and the
-        # output is not directly observable (POs must keep their faults).
+        # a dominating branch representative survives with a test and
+        # the output is not directly observable (POs keep their faults).
         if gate.output in circuit.outputs:
             continue
         branch_reps = []
@@ -172,7 +180,7 @@ def dominance_collapse(circuit: Circuit) -> List[Fault]:
             rep = representative.get(branch)
             if rep is not None and rep in kept and rep != out_fault:
                 branch_reps.append(rep)
-        if branch_reps:
+        if any(podem.generate(rep).found for rep in branch_reps):
             kept.discard(out_fault)
     return sorted(kept, key=lambda f: f.name)
 

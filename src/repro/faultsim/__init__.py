@@ -24,11 +24,11 @@ from ..faults.models import (
 from .expand import expand_branches, fault_site_net
 from .coverage import CoverageReport, merge_reports, sample_fault_list
 from .serial import SerialFaultSimulator
-from .parallel_pattern import FaultSimulator, fault_coverage
+from .parallel_pattern import FaultSimulator
 from .parallel_fault import ParallelFaultSimulator
 from .deductive import DeductiveFaultSimulator
 from .sequential import SequentialFaultSimulator
-from .wide import WideFaultSimulator, wide_coverage
+from .wide import WideFaultSimulator
 from .cmos_open import CmosStuckOpenSimulator
 from .diagnosis import FaultDictionary, DiagnosisResult
 from .sharded import (
@@ -80,8 +80,8 @@ def create_simulator(
     """Instantiate a fault simulator by engine name.
 
     ``engine`` is an :class:`Engine` or its string value.  Extra keyword
-    arguments go to the engine constructor (e.g. ``compiled=False`` to
-    get the pre-compiled-core parallel-pattern baseline).
+    arguments go to the engine constructor (e.g. ``backend="bigint"``
+    for ``WIDE``).
 
     ``fault_model`` selects the fault model (see
     :class:`repro.faults.FaultModel`).  Non-stuck-at models reduce to
@@ -142,11 +142,9 @@ __all__ = [
     "sample_fault_list",
     "SerialFaultSimulator",
     "FaultSimulator",
-    "fault_coverage",
     "ParallelFaultSimulator",
     "DeductiveFaultSimulator",
     "WideFaultSimulator",
-    "wide_coverage",
     "CmosStuckOpenSimulator",
     "SequentialFaultSimulator",
     "SEQUENTIAL_ENGINE",

@@ -236,16 +236,3 @@ class WideFaultSimulator:
 def _lowest_set_bit(word: int) -> int:
     return (word & -word).bit_length() - 1
 
-
-def wide_coverage(
-    circuit: Circuit,
-    patterns: Sequence[Pattern],
-    faults: Optional[Sequence[Fault]] = None,
-    collapse: bool = True,
-    **kwargs,
-) -> CoverageReport:
-    """One-call convenience wrapper around :class:`WideFaultSimulator`."""
-    simulator = WideFaultSimulator(
-        circuit, faults=faults, collapse=collapse, **kwargs
-    )
-    return simulator.run(patterns)

@@ -5,7 +5,7 @@ This is the repo-wide fast path behind every bit-parallel engine.  A
 program: nets become dense integer indices, gates become topologically
 ordered ``(opcode, out_index, in_indices)`` tuples, and evaluation is a
 single pass writing machine words (arbitrary-precision ints, one bit
-per pattern or per machine) into a flat list.  Compared to the original
+per pattern or per machine) into a flat list.  Compared with a
 dict-keyed per-gate walk this removes every hash lookup and attribute
 access from the inner loop — the paper's "compiled code Boolean
 simulation" (§IV-A, refs [2], [74], [106], [107]) in Python terms.
@@ -267,9 +267,7 @@ class CompiledCircuit:
         """The (cached) output-cone sub-program of net index ``site``."""
         cached = self._cones.get(site)
         if cached is not None:
-            _incr("sim.compiled.cone_cache_hits")
             return cached
-        _incr("sim.compiled.cones_built")
         readers = self._reader_map()
         net_indices: Set[int] = {site}
         op_positions: Set[int] = set()
@@ -425,10 +423,6 @@ class FaultInjector:
         """Dense index of a fault-site net (None when absent)."""
         return self.program.index.get(net)
 
-    def good_word(self, net: str) -> int:
-        """Good-machine word of one net."""
-        return self.good[self.program.index[net]]
-
     def detect_word(self, site: int, forced_word: int) -> int:
         """Patterns (bits) on which forcing ``site`` flips some PO.
 
@@ -437,10 +431,8 @@ class FaultInjector:
         """
         good = self.good
         if not (good[site] ^ forced_word) & self.mask:
-            _incr("sim.compiled.activation_skips")
             return 0
         cone = self.program.cone(site)
-        _incr("sim.compiled.cone_evals")
         scratch = self._scratch
         if scratch is None:
             scratch = self._scratch = list(good)
@@ -457,7 +449,6 @@ class FaultInjector:
     def faulty_words(self, site: int, forced_word: int) -> List[int]:
         """Full faulty-machine word list (non-cone nets keep good values)."""
         cone = self.program.cone(site)
-        _incr("sim.compiled.cone_evals")
         return self.program.eval_cone(cone, self.good, forced_word, self.mask)
 
     def faulty_output_words(self, site: Optional[int], forced_word: int) -> Dict[str, int]:

@@ -10,10 +10,9 @@ syndrome/Walsh exhaustive engines tractable in pure Python.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 from ..netlist.circuit import Circuit, NetlistError
-from ..netlist.gates import GateType
 from ..telemetry import incr as _incr
 from .compiled import FaultInjector, compile_circuit
 
@@ -93,22 +92,19 @@ class PackedSimulator:
     *after* its driver evaluates — gate-input faults are handled by the
     fault simulator via fanout-branch modeling).
 
-    By default evaluation routes through the compiled core
+    Evaluation routes through the compiled core
     (:mod:`repro.sim.compiled`): the circuit is levelized once into a
     flat program, cached per circuit and invalidated by netlist
-    mutation.  ``compiled=False`` selects the original dict-keyed
-    per-gate walk, kept as the reference implementation the property
-    tests and engine benchmarks compare against.
+    mutation.
     """
 
-    def __init__(self, circuit: Circuit, compiled: bool = True) -> None:
+    def __init__(self, circuit: Circuit) -> None:
         if not circuit.is_combinational:
             raise NetlistError(
                 "PackedSimulator needs a combinational circuit; "
                 "use Circuit.combinational_core() or a sequential simulator"
             )
         self.circuit = circuit
-        self.compiled = compiled
 
     def run(
         self,
@@ -120,16 +116,10 @@ class PackedSimulator:
         ``force`` maps net names to full-word override values (applied
         after the net is computed) — the mechanism used for stuck-at
         injection: ``{net: 0}`` for S-A-0, ``{net: mask}`` for S-A-1.
+        Names outside the circuit are ignored.
         """
         _incr("sim.packed.runs")
         _incr("sim.packed.patterns", packed.count)
-        if self.compiled:
-            return self._run_compiled(packed, force)
-        return self._run_reference(packed, force)
-
-    def _run_compiled(
-        self, packed: PackedPatternSet, force: Optional[Mapping[str, int]]
-    ) -> Dict[str, int]:
         program = compile_circuit(self.circuit)
         mask = packed.mask
         source_words = [
@@ -146,27 +136,6 @@ class PackedSimulator:
             words = program.eval_words(source_words, mask)
         return program.words_to_dict(words)
 
-    def _run_reference(
-        self, packed: PackedPatternSet, force: Optional[Mapping[str, int]]
-    ) -> Dict[str, int]:
-        # The pre-compiled-core implementation, evaluated gate by gate
-        # over name-keyed dicts.  The topological order is fetched per
-        # run so netlist mutations are honored here too.
-        mask = packed.mask
-        words: Dict[str, int] = {}
-        for net in self.circuit.inputs:
-            value = packed.words.get(net, 0)
-            words[net] = value
-        if force:
-            for net, value in force.items():
-                if net in words:
-                    words[net] = value & mask
-        for gate in self.circuit.topological_order():
-            words[gate.output] = _evaluate_packed(gate.kind, gate.inputs, words, mask)
-            if force is not None and gate.output in force:
-                words[gate.output] = force[gate.output] & mask
-        return words
-
     def injector(self, packed: PackedPatternSet) -> FaultInjector:
         """Good machine + cone-cached fault injection for one batch.
 
@@ -175,56 +144,3 @@ class PackedSimulator:
         each fault re-evaluates only its cached output cone.
         """
         return FaultInjector(self.circuit, packed)
-
-    def output_words(
-        self,
-        packed: PackedPatternSet,
-        force: Optional[Mapping[str, int]] = None,
-    ) -> Dict[str, int]:
-        """Output words."""
-        words = self.run(packed, force)
-        return {net: words[net] for net in self.circuit.outputs}
-
-
-def _evaluate_packed(
-    kind: GateType, input_nets: Sequence[str], words: Mapping[str, int], mask: int
-) -> int:
-    if kind is GateType.AND:
-        result = mask
-        for net in input_nets:
-            result &= words[net]
-        return result
-    if kind is GateType.NAND:
-        result = mask
-        for net in input_nets:
-            result &= words[net]
-        return result ^ mask
-    if kind is GateType.OR:
-        result = 0
-        for net in input_nets:
-            result |= words[net]
-        return result
-    if kind is GateType.NOR:
-        result = 0
-        for net in input_nets:
-            result |= words[net]
-        return result ^ mask
-    if kind is GateType.XOR:
-        result = 0
-        for net in input_nets:
-            result ^= words[net]
-        return result
-    if kind is GateType.XNOR:
-        result = 0
-        for net in input_nets:
-            result ^= words[net]
-        return result ^ mask
-    if kind is GateType.NOT:
-        return words[input_nets[0]] ^ mask
-    if kind is GateType.BUF:
-        return words[input_nets[0]]
-    if kind is GateType.CONST0:
-        return 0
-    if kind is GateType.CONST1:
-        return mask
-    raise NetlistError(f"cannot pack-evaluate gate type {kind}")

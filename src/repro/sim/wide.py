@@ -590,10 +590,6 @@ class WideInjector:
         """Dense index of a fault-site net (None when absent)."""
         return self.program.index.get(net)
 
-    def good_word(self, site: int) -> int:
-        """Good-machine word of one net index."""
-        return self.good[site]
-
     def _union_cone(
         self, sites: Sequence[int]
     ) -> Tuple[List[Op], List[int]]:

@@ -22,8 +22,8 @@ from repro.faultsim import (
     ParallelFaultSimulator,
     SequentialFaultSimulator,
     SerialFaultSimulator,
+    engine_coverage,
     expand_branches,
-    fault_coverage,
     fault_site_net,
     merge_reports,
 )
@@ -145,14 +145,14 @@ class TestDetects:
 class TestCoverageReport:
     def test_coverage_curve_monotone(self):
         circuit = ripple_carry_adder(3)
-        report = fault_coverage(circuit, exhaustive(circuit))
+        report = engine_coverage(circuit, exhaustive(circuit))
         curve = report.coverage_curve()
         assert all(b >= a for a, b in zip(curve, curve[1:]))
         assert curve[-1] == report.coverage == 1.0
 
     def test_patterns_to_reach(self):
         circuit = c17()
-        report = fault_coverage(circuit, exhaustive(circuit))
+        report = engine_coverage(circuit, exhaustive(circuit))
         needed = report.patterns_to_reach(1.0)
         assert needed is not None
         assert needed <= 32

@@ -1,8 +1,7 @@
 """Cross-engine differential tests: the engine-agreement contract.
 
 Every combinational fault-simulation engine — serial (reference),
-deductive, parallel-fault, and parallel-pattern (both the compiled-core
-fast path and the pre-compiled-core baseline) — must produce the
+deductive, parallel-fault, parallel-pattern and wide — must produce the
 *identical detected-fault set* for identical (circuit, fault list,
 pattern set) inputs, across the whole circuits zoo: adders, the 74181
 ALU, random logic, and sequential machines viewed through scan
@@ -10,7 +9,8 @@ ALU, random logic, and sequential machines viewed through scan
 
 This is the correctness backstop for the compiled simulation core and
 for any future engine work: an optimization that changes any engine's
-verdict on any fault fails here.
+verdict on any fault fails here.  ``test_faultsim_oracle.py`` holds
+the same engines to an evaluator that shares none of their code.
 """
 
 import itertools
@@ -32,7 +32,6 @@ from repro.faults import all_faults, collapse_faults
 from repro.faultsim import (
     Engine,
     ENGINE_CLASSES,
-    FaultSimulator,
     create_simulator,
 )
 
@@ -53,15 +52,11 @@ def _exhaustive_patterns(circuit):
 
 
 def _detected_sets(circuit, faults, patterns):
-    """Detected-fault set per engine, plus the legacy PPSF baseline."""
+    """Detected-fault set per engine."""
     sets = {}
     for engine in Engine:
         simulator = create_simulator(circuit, engine, faults=faults)
         sets[engine.value] = frozenset(simulator.run(patterns).first_detection)
-    legacy = FaultSimulator(circuit, faults=faults, compiled=False)
-    sets["parallel_pattern_precompiled"] = frozenset(
-        legacy.run(patterns).first_detection
-    )
     return sets
 
 def _assert_all_agree(circuit, faults, patterns):

@@ -1,13 +1,16 @@
 """Property-based tests for the compiled simulation core.
 
-Two invariants, checked over randomly generated circuits and patterns:
+Three invariants, checked over randomly generated circuits and patterns:
 
 1. **Packed == per-pattern:** bit ``i`` of every net word produced by
    the packed (compiled) simulator equals the per-pattern value from
    the five-valued reference simulator in ``sim/logic.py``.
 2. **Cone == full netlist:** injecting a stuck-at fault through the
    cached cone sub-program gives bitwise the same result as forcing the
-   net in a full-netlist pass.
+   net in a full-netlist pass of the independent oracle
+   (``tests/oracle.py``).
+3. **Detection == oracle:** the parallel-pattern engine reports the
+   oracle's first detection for every collapsed fault.
 
 Runs under ``hypothesis`` when it is installed; otherwise the same
 properties are exercised over a seeded-random corpus, so the suite
@@ -27,6 +30,8 @@ from repro.sim import (
     PackedPatternSet,
     PackedSimulator,
 )
+
+from oracle import CombinationalOracle, first_detections
 
 try:
     from hypothesis import given, settings, strategies as st
@@ -68,12 +73,12 @@ def check_cone_matches_full_netlist(circuit_seed, pattern_seed):
     patterns = _random_patterns(circuit, 13, rng)
     packed = PackedPatternSet.from_patterns(circuit.inputs, patterns)
     injector = FaultInjector(expanded, packed)
-    reference = PackedSimulator(expanded, compiled=False)
+    reference = CombinationalOracle(expanded, patterns)
     program = injector.program
     for fault in collapse_faults(circuit):
         site = fault_site_net(fault, branch_map)
         forced = packed.mask if fault.value else 0
-        full = reference.run(packed, force={site: forced})
+        full = reference.evaluate(force={site: forced})
         cone_words = injector.faulty_words(injector.site_index(site), forced)
         cone = program.cone(program.index[site])
         for net, index in program.index.items():
@@ -84,14 +89,15 @@ def check_cone_matches_full_netlist(circuit_seed, pattern_seed):
 
 
 def check_detection_matches_reference(circuit_seed, pattern_seed):
-    """Compiled PPSF detection verdicts match the pre-compiled baseline."""
+    """Compiled PPSF first detections match the oracle's."""
     rng = random.Random(pattern_seed)
     circuit = random_combinational(7, 35, seed=circuit_seed)
     patterns = _random_patterns(circuit, 19, rng)
     faults = collapse_faults(circuit)
-    fast = FaultSimulator(circuit, faults=faults).run(patterns)
-    slow = FaultSimulator(circuit, faults=faults, compiled=False).run(patterns)
-    assert fast.first_detection == slow.first_detection
+    report = FaultSimulator(circuit, faults=faults).run(patterns)
+    oracle = CombinationalOracle(circuit, patterns)
+    expected = first_detections({f: oracle.detecting_vectors(f) for f in faults})
+    assert report.first_detection == expected
 
 
 SEED_CORPUS = [(seed, seed * 31 + 7) for seed in range(8)]

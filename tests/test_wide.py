@@ -29,8 +29,8 @@ from repro.faultsim import (
     FaultSimulator,
     WideFaultSimulator,
     create_simulator,
+    engine_coverage,
     sample_fault_list,
-    wide_coverage,
 )
 from repro.netlist.circuit import NetlistError
 from repro.sim.compiled import OP_BUF, compile_circuit
@@ -196,7 +196,7 @@ class TestDifferential:
     def test_wide_coverage_wrapper(self):
         circuit = c17()
         patterns = _random_patterns(circuit, 16, seed=1)
-        report = wide_coverage(circuit, patterns)
+        report = engine_coverage(circuit, patterns, engine=Engine.WIDE)
         reference = FaultSimulator(circuit).run(patterns)
         assert report.first_detection == reference.first_detection
 
