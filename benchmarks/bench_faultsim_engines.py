@@ -13,13 +13,12 @@ three guarantees:
    list, 1024 patterns, no fault dropping).  Small workloads cannot
    amortize the fixed per-vector-op cost, which is why the gate runs
    the full-scale workload even under ``--quick``.
-3. **Sharded exactness + speedup** — sharded multi-process sequential
+3. **Sharded exactness** — sharded multi-process sequential
    verification of the registered-74181 scan schedule produces the
-   bit-identical coverage report as the single process, and with 4
-   workers is at least 2x faster wall-clock *when the machine has >= 4
-   CPUs* (on smaller machines the table still prints and exactness is
-   still enforced, but the wall-clock gate is skipped — there is no
-   parallel hardware to measure).
+   bit-identical coverage report as the single process.  The table
+   prints each worker count's seconds and ratio; no speedup is
+   required, because one lane-batched pass grades every fault of a
+   shard, so shards split a pass instead of dividing per-fault work.
 
 Measured speedups are additionally checked against the committed
 baseline trajectory ``BENCH_faultsim_engines.json`` at the repo root
@@ -63,7 +62,6 @@ from repro.scan import insert_scan, sample_fault_list, schedule_scan_tests
 from repro.atpg import generate_tests
 
 MIN_WIDE_SPEEDUP = 3.0
-MIN_SHARDED_SPEEDUP = 2.0
 SHARDED_WORKERS = 4
 
 #: The wide-engine gate workload: ISCAS-85 scale, every collapsed
@@ -74,14 +72,6 @@ WIDE_PATTERNS = 1024
 BASELINE_PATH = bench_trajectory.default_baseline_path(
     "faultsim_engines", start=os.path.dirname(os.path.abspath(__file__))
 )
-
-
-def available_cpus():
-    """CPUs this process may actually run on (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def _random_patterns(circuit, count, seed):
@@ -290,12 +280,12 @@ def check_baseline(results, update):
 def measure_sharded_sequential(quick):
     """Sharded vs single-process sequential verification (74181 workload).
 
-    The workload is the scan flow's expensive tail on the registered
-    74181: sequentially fault-simulate the full shift/capture schedule,
-    one serial pass per fault.  Every sharded run must be bit-identical
-    to the single-process report; the 4-worker run must be >= 2x faster
-    when >= 4 CPUs are available.  All printed numbers come from
-    validated run manifests carrying the ``workers`` section.
+    The workload is the scan flow's verifier on the registered 74181:
+    sequentially fault-simulate the full shift/capture schedule, every
+    fault of a shard in one lane-batched pass per clock.  Every sharded
+    run must be bit-identical to the single-process report.  All printed
+    numbers come from validated run manifests carrying the ``workers``
+    section.
     """
     circuit = registered_alu74181()
     design = insert_scan(circuit)
@@ -303,8 +293,6 @@ def measure_sharded_sequential(quick):
         circuit.combinational_core(), random_phase=32, seed=74181
     )
     schedule = schedule_scan_tests(design, core_tests.patterns)
-    # Enough per-shard work that the pool's fixed costs (fork, one
-    # good-machine trace per worker) stay well under the per-fault term.
     faults = sample_fault_list(
         collapse_faults(design.circuit), 96 if quick else 192, seed=0
     )
@@ -375,26 +363,7 @@ def measure_sharded_sequential(quick):
         rows,
     )
     print("sharded reports bit-identical to single process: OK")
-    cpus = available_cpus()
-    speedup = speedups[SHARDED_WORKERS]
-    if cpus >= SHARDED_WORKERS:
-        if speedup < MIN_SHARDED_SPEEDUP:
-            raise SystemExit(
-                f"sharded speedup {speedup:.2f}x with {SHARDED_WORKERS} "
-                f"workers below the required {MIN_SHARDED_SPEEDUP}x "
-                f"({cpus} CPUs available)"
-            )
-        print(
-            f"OK: {SHARDED_WORKERS} workers are {speedup:.1f}x the single "
-            f"process (gate: >={MIN_SHARDED_SPEEDUP}x on {cpus} CPUs)"
-        )
-    else:
-        print(
-            f"NOTE: only {cpus} CPU(s) available "
-            f"(< {SHARDED_WORKERS} workers); wall-clock speedup gate "
-            f"skipped, exactness still enforced"
-        )
-    return speedup
+    return speedups[SHARDED_WORKERS]
 
 
 def main(argv=None):

@@ -89,20 +89,22 @@ class DAlgorithm:
         frontier.sort(key=lambda g: -self.expanded.level_of(g.output))
         for gate in frontier:
             control = CONTROLLING_VALUE.get(gate.kind)
-            trial = dict(state)
-            ok = True
-            for net in gate.inputs:
-                if trial[net] == V.X:
-                    if control is None:  # XOR family: pick 0
-                        trial[net] = V.ZERO
-                    else:
-                        trial[net] = V.ONE if control == 0 else V.ZERO
-            self._decisions += 1
-            result = self._recurse(trial, site)
-            if result is not None:
-                return result
-            if self._budget <= 0:
-                return None
+            free = [net for net in gate.inputs if state[net] == V.X]
+            if control is None:
+                # XOR family: either side value propagates the error,
+                # and each choice implies differently, so try them all.
+                choices = itertools.product((V.ZERO, V.ONE), repeat=len(free))
+            else:
+                choices = [(V.ONE if control == 0 else V.ZERO,) * len(free)]
+            for choice in choices:
+                trial = dict(state)
+                trial.update(zip(free, choice))
+                self._decisions += 1
+                result = self._recurse(trial, site)
+                if result is not None:
+                    return result
+                if self._budget <= 0:
+                    return None
         return None
 
     # ------------------------------------------------------------------

@@ -24,15 +24,45 @@ from ..netlist.circuit import Circuit
 
 Pattern = Dict[str, int]
 
+# ``Random.randint(0, 1)`` reads the top two bits of one 32-bit Mersenne
+# Twister output and draws again while the top bit is set, so an output
+# whose top byte is below 0x80 yields that byte's bit 6.
+_TOP_BYTE_TO_BIT = bytes((byte >> 6) & 1 for byte in range(256))
+_TOP_BIT_SET = bytes(range(0x80, 0x100))
+
+
+def _randint_bits(rng: random.Random, count: int) -> bytes:
+    """The next ``count`` results of ``rng.randint(0, 1)``, drawn in bulk.
+
+    ``getrandbits(32 * k)`` returns ``k`` consecutive outputs, lowest
+    word first, so every fourth little-endian byte is an output's top
+    byte.  It may draw more outputs than the per-bit loop would, so
+    ``rng`` ends in a different state.
+    """
+    bits = b""
+    while len(bits) < count:
+        words = 2 * (count - len(bits)) + 16
+        top = rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4]
+        bits += top.translate(_TOP_BYTE_TO_BIT, _TOP_BIT_SET)
+    return bits[:count]
+
 
 def random_patterns(
     circuit: Circuit, count: int, seed: int = 0
 ) -> List[Pattern]:
-    """``count`` uniform random patterns over the primary inputs."""
-    rng = random.Random(seed)
+    """``count`` uniform random patterns over the primary inputs.
+
+    The same patterns as ``{net: rng.randint(0, 1) for net in inputs}``
+    per pattern with ``rng = random.Random(seed)``, drawn in bulk.
+    """
     inputs = circuit.inputs
+    width = len(inputs)
+    if not width:
+        return [{} for _ in range(count)]
+    bits = _randint_bits(random.Random(seed), count * width)
     return [
-        {net: rng.randint(0, 1) for net in inputs} for _ in range(count)
+        dict(zip(inputs, bits[start:start + width]))
+        for start in range(0, count * width, width)
     ]
 
 

@@ -1,34 +1,48 @@
-"""Sequential fault simulation with concurrent-style divergence tracking.
+"""Sequential fault simulation: every faulty machine in one pass per clock.
 
 For an *unscanned* sequential machine, a fault's effect can lodge in the
 state and surface many cycles later — the very difficulty (§I-B, §IV)
-that motivates scan design.  This engine:
+that motivates scan design.  This engine simulates the good machine and
+all faulty machines together, one bit lane per machine — the
+parallel-fault method behind the paper's fault-simulation cost argument
+(§I-B, refs [100]–[114]) — over the compiled program of the
+branch-expanded circuit (:mod:`repro.sim.compiled`):
 
-* simulates the good machine once over the input sequence;
-* per fault, simulates a faulty machine **only while it diverges**:
-  starting from the good state trace, a faulty machine is advanced
-  cycle-by-cycle from the first cycle its injected value matters, and
-  is merged back (dropped) whenever its state re-converges with the
-  good machine's — the bookkeeping insight of concurrent fault
-  simulation (Ulrich & Baker [112], [113]) in serial form.
-
-Three-valued: a fault counts as detected only when good and faulty
-primary outputs are *definitely* different (no X involved).
+* lane 0 is the good machine and lane *i* carries fault *i*;
+* every net is two words, "may be 0" and "may be 1", so X sets both and
+  flip-flops start at X unless ``initial_state`` names them;
+* each clock loads the vector (a missing input reads X) and every
+  lane's flip-flop state, forces each fault's lane at its site as the
+  net settles, evaluates the program once, and clocks every D net's
+  rails into the state;
+* a lane is detected at the first clock where some primary output is
+  known in both lane 0 and that lane and the two differ (no X
+  involved); it is then retired, and the run ends once every lane is.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 from .. import telemetry
 from ..netlist import values as V
 from ..netlist.circuit import Circuit
 from ..faults.stuck_at import Fault, all_faults
 from ..faults.collapse import collapse_faults
+from ..sim.compiled import CompiledCircuit
 from .expand import expand_branches, fault_site_net
 from .coverage import CoverageReport
 
 Pattern = Mapping[str, int]
+
+
+def _rails(value: int, mask: int) -> Tuple[int, int]:
+    """``(may be 0, may be 1)`` words of one value in every lane."""
+    if value == V.ZERO:
+        return mask, 0
+    if value == V.ONE:
+        return 0, mask
+    return mask, mask
 
 
 class SequentialFaultSimulator:
@@ -45,61 +59,8 @@ class SequentialFaultSimulator:
             faults = collapse_faults(circuit) if collapse else all_faults(circuit)
         self.faults = list(faults)
         self.expanded, self._branch_map = expand_branches(circuit)
-        self._order = self.expanded.topological_order()
-        self._flops = self.expanded.flip_flops
-        self._outputs = self.expanded.outputs
+        self.program = CompiledCircuit(self.expanded)
 
-    # -- low-level evaluation with optional forced net ------------------
-    def _settle(
-        self,
-        inputs: Pattern,
-        state: Mapping[str, int],
-        force_net: Optional[str] = None,
-        force_value: int = 0,
-    ) -> Dict[str, int]:
-        from ..netlist.gates import evaluate
-
-        net_values: Dict[str, int] = {}
-        for net in self.expanded.inputs:
-            net_values[net] = inputs.get(net, V.X)
-        for flop in self._flops:
-            net_values[flop.output] = state.get(flop.output, V.X)
-        if force_net is not None and force_net in net_values:
-            net_values[force_net] = force_value
-        for gate in self._order:
-            value = evaluate(gate.kind, tuple(net_values[n] for n in gate.inputs))
-            if force_net == gate.output:
-                value = force_value
-            net_values[gate.output] = value
-        return net_values
-
-    def _next_state(self, net_values: Mapping[str, int]) -> Dict[str, int]:
-        return {
-            flop.output: net_values[flop.inputs[0]] for flop in self._flops
-        }
-
-    # -- good machine ---------------------------------------------------
-    def good_trace(
-        self,
-        sequence: Sequence[Pattern],
-        initial_state: Optional[Mapping[str, int]] = None,
-    ) -> Tuple[List[Dict[str, int]], List[Dict[str, int]]]:
-        """States before each cycle and PO values at each cycle."""
-        state: Dict[str, int] = {
-            flop.output: V.X for flop in self._flops
-        }
-        if initial_state:
-            state.update(initial_state)
-        states = []
-        outputs = []
-        for vector in sequence:
-            states.append(dict(state))
-            net_values = self._settle(vector, state)
-            outputs.append({net: net_values[net] for net in self._outputs})
-            state = self._next_state(net_values)
-        return states, outputs
-
-    # -- per-fault simulation with divergence tracking -------------------
     def run(
         self,
         sequence: Sequence[Pattern],
@@ -114,41 +75,59 @@ class SequentialFaultSimulator:
             report = CoverageReport(
                 self.circuit.name, len(sequence), list(self.faults)
             )
-            good_states, good_outputs = self.good_trace(sequence, initial_state)
-            for fault in self.faults:
-                index = self._first_detection(
-                    fault, sequence, good_states, good_outputs
-                )
-                if index is not None:
-                    report.first_detection[fault] = index
-                    telemetry.incr("faultsim.seq.faults_detected")
+            found = self._first_cycles(sequence, initial_state or {})
+            for lane, fault in enumerate(self.faults, 1):
+                if lane in found:
+                    report.first_detection[fault] = found[lane]
+            if found:
+                telemetry.incr("faultsim.seq.faults_detected", len(found))
             return report
 
-    def _first_detection(
-        self,
-        fault: Fault,
-        sequence: Sequence[Pattern],
-        good_states: List[Dict[str, int]],
-        good_outputs: List[Dict[str, int]],
-    ) -> Optional[int]:
-        site = fault_site_net(fault, self._branch_map)
-        forced = V.ONE if fault.value else V.ZERO
-        state: Optional[Dict[str, int]] = None  # None => converged with good
+    def _first_cycles(
+        self, sequence: Sequence[Pattern], initial_state: Mapping[str, int]
+    ) -> Dict[int, int]:
+        """``{lane: first detecting cycle}`` over the detected lanes."""
+        program = self.program
+        mask = (2 << len(self.faults)) - 1
+        stuck: Dict[int, Tuple[int, int]] = {}
+        for lane, fault in enumerate(self.faults, 1):
+            site = program.index.get(fault_site_net(fault, self._branch_map))
+            if site is not None:
+                stuck0, stuck1 = stuck.get(site, (0, 0))
+                if fault.value:
+                    stuck1 |= 1 << lane
+                else:
+                    stuck0 |= 1 << lane
+                stuck[site] = (stuck0, stuck1)
+        inputs = self.expanded.inputs
+        flops = self.expanded.flip_flops
+        data = [program.index[flop.inputs[0]] for flop in flops]
+        state = [
+            _rails(initial_state.get(flop.output, V.X), mask) for flop in flops
+        ]
+        zeros = [0] * program.num_nets
+        ones = [0] * program.num_nets
+        live = mask ^ 1
+        found: Dict[int, int] = {}
         for cycle, vector in enumerate(sequence):
-            current_state = good_states[cycle] if state is None else state
-            net_values = self._settle(vector, current_state, site, forced)
-            for net in self._outputs:
-                good_value = good_outputs[cycle][net]
-                faulty_value = net_values[net]
-                if (
-                    good_value in (V.ZERO, V.ONE)
-                    and faulty_value in (V.ZERO, V.ONE)
-                    and good_value != faulty_value
-                ):
-                    telemetry.incr("faultsim.seq.faulty_cycles", cycle + 1)
-                    return cycle
-            state = self._next_state(net_values)
-            if cycle + 1 < len(good_states) and state == good_states[cycle + 1]:
-                state = None  # re-converged: ride the good trace again
-        telemetry.incr("faultsim.seq.faulty_cycles", len(sequence))
-        return None
+            for i, net in enumerate(inputs):
+                zeros[i], ones[i] = _rails(vector.get(net, V.X), mask)
+            for i, (z, o) in enumerate(state, len(inputs)):
+                zeros[i], ones[i] = z, o
+            program.eval_two_rail(zeros, ones, mask, stuck)
+            detected = 0
+            for out in program.output_indices:
+                z, o = zeros[out], ones[out]
+                if z & 1 != o & 1:  # known in the good machine
+                    detected |= (o & ~z) if z & 1 else (z & ~o)
+            detected &= live
+            if detected:
+                live ^= detected
+                while detected:
+                    low = detected & -detected
+                    found[low.bit_length() - 1] = cycle
+                    detected ^= low
+                if not live:
+                    break
+            state = [(zeros[d], ones[d]) for d in data]
+        return found

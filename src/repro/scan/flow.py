@@ -8,15 +8,17 @@ fault simulation.  The output coverage is therefore measured through
 the chip's actual pins (PIs, POs and the three scan pins), proving the
 sequential problem really did reduce to the combinational one.
 
-Sequential verification costs one serial pass per fault, so it is the
-flow's wall-clock wall on anything bigger than a toy:
+Sequential verification grades every fault in one lane-batched pass
+per clock (:class:`repro.faultsim.sequential.SequentialFaultSimulator`).
 ``full_scan_flow(..., workers=N)`` shards the verified fault list
 across ``N`` worker processes
 (:class:`repro.faultsim.sharded.ShardedFaultSimulator`) with a result
-bit-identical to the single-process pass.  ``fault_limit`` caps the
-verified list by a *seeded random sample* (never a prefix — fault
-enumeration order is structural, so a prefix is a biased estimator);
-the sample seed is recorded in the attached run manifest.
+bit-identical to the single-process pass; on the registered 74181 the
+pool costs more than it saves, so ``workers=1`` is the faster choice.
+``fault_limit`` caps the verified list by a *seeded random sample*
+(never a prefix — fault enumeration order is structural, so a prefix is
+a biased estimator); the sample seed is recorded in the attached run
+manifest.
 """
 
 from __future__ import annotations

@@ -22,6 +22,11 @@ the primary outputs they can reach.  Injecting a stuck-at fault then
 costs one list copy plus an evaluation of the cone instead of the whole
 netlist, which is what makes parallel-pattern single-fault simulation
 scale with average cone size rather than circuit size.
+
+The same program also runs three-valued over two rails per net ("may be
+0", "may be 1"; :meth:`CompiledCircuit.eval_two_rail`), one bit per
+machine, which is how the sequential fault simulator grades every
+faulty machine of a clock in one pass.
 """
 
 from __future__ import annotations
@@ -317,6 +322,28 @@ class CompiledCircuit:
         scratch[cone.site] = forced_word
         _run_ops(cone.ops, scratch, mask)
 
+    def eval_two_rail(
+        self,
+        zeros: List[int],
+        ones: List[int],
+        mask: int,
+        force: Mapping[int, Tuple[int, int]],
+    ) -> None:
+        """One three-valued pass over two rails, in place.
+
+        ``zeros[i]``/``ones[i]`` carry a bit per machine meaning "net
+        ``i`` may be 0"/"may be 1", so a known value sets one rail and X
+        sets both.  Callers load the sources; ``force`` maps a net to
+        ``(stuck0, stuck1)`` bit sets, and those machines read the net
+        as stuck at 0/1 from the moment it settles (sources included).
+        """
+        for idx in range(self.num_sources):
+            if idx in force:
+                stuck0, stuck1 = force[idx]
+                zeros[idx] = (zeros[idx] & ~stuck1) | stuck0
+                ones[idx] = (ones[idx] & ~stuck0) | stuck1
+        _run_two_rail(self.ops, zeros, ones, mask, force)
+
     def words_to_dict(self, words: Sequence[int]) -> Dict[str, int]:
         """Map an evaluation result back to net names."""
         return dict(zip(self.net_names, words))
@@ -375,6 +402,76 @@ def _run_ops(ops: Sequence[Op], words: List[int], mask: int) -> None:
             words[out] = 0
         else:
             words[out] = mask
+
+
+def _run_two_rail(
+    ops: Sequence[Op],
+    zeros: List[int],
+    ones: List[int],
+    mask: int,
+    force: Mapping[int, Tuple[int, int]],
+) -> None:
+    """Interpret a program over may-be-0/may-be-1 rails (X sets both).
+
+    AND is 0 where any input may be 0 and 1 where every input may be 1;
+    OR is the dual, an inverting gate swaps its rails, and XOR is known
+    only where every input is.
+    """
+    for op, out, ins in ops:
+        if op == OP_BUF:
+            z = zeros[ins[0]]
+            o = ones[ins[0]]
+        elif op == OP_NOT:
+            z = ones[ins[0]]
+            o = zeros[ins[0]]
+        elif op == OP_AND2 or op == OP_NAND2:
+            z = zeros[ins[0]] | zeros[ins[1]]
+            o = ones[ins[0]] & ones[ins[1]]
+            if op == OP_NAND2:
+                z, o = o, z
+        elif op == OP_OR2 or op == OP_NOR2:
+            z = zeros[ins[0]] & zeros[ins[1]]
+            o = ones[ins[0]] | ones[ins[1]]
+            if op == OP_NOR2:
+                z, o = o, z
+        elif op == OP_XOR2 or op == OP_XNOR2:
+            z0, o0 = zeros[ins[0]], ones[ins[0]]
+            z1, o1 = zeros[ins[1]], ones[ins[1]]
+            z = (z0 & z1) | (o0 & o1)
+            o = (z0 & o1) | (o0 & z1)
+            if op == OP_XNOR2:
+                z, o = o, z
+        elif op == OP_AND or op == OP_NAND:
+            z, o = 0, mask
+            for i in ins:
+                z |= zeros[i]
+                o &= ones[i]
+            if op == OP_NAND:
+                z, o = o, z
+        elif op == OP_OR or op == OP_NOR:
+            z, o = mask, 0
+            for i in ins:
+                z &= zeros[i]
+                o |= ones[i]
+            if op == OP_NOR:
+                z, o = o, z
+        elif op == OP_XOR or op == OP_XNOR:
+            z, o = mask, 0
+            for i in ins:
+                zi, oi = zeros[i], ones[i]
+                z, o = (z & zi) | (o & oi), (z & oi) | (o & zi)
+            if op == OP_XNOR:
+                z, o = o, z
+        elif op == OP_CONST0:
+            z, o = mask, 0
+        else:
+            z, o = 0, mask
+        if out in force:
+            stuck0, stuck1 = force[out]
+            z = (z & ~stuck1) | stuck0
+            o = (o & ~stuck0) | stuck1
+        zeros[out] = z
+        ones[out] = o
 
 
 _PROGRAM_CACHE: "WeakKeyDictionary[Circuit, CompiledCircuit]" = WeakKeyDictionary()

@@ -205,8 +205,8 @@ def _gate3(kind, values):
 class SequentialOracle:
     """Cycle-by-cycle three-valued evaluation of a DFF circuit.
 
-    Every flip-flop starts at X.  A cycle applies one input vector (a
-    missing input reads X), settles the combinational gates, reads the
+    Every flip-flop starts at X unless an initial state names it.  A
+    cycle applies one input vector (a missing input reads X), settles the combinational gates, reads the
     outputs, then clocks every flip-flop's data input into its output.
     A fault is detected at the first cycle where some output is known
     in both machines and differs.
@@ -217,12 +217,17 @@ class SequentialOracle:
         self.order = circuit.topological_order()
         self.flops = [g for g in circuit.gates if g.kind is GateType.DFF]
 
-    def trace(self, sequence, fault=None):
-        """Output values per cycle, with an optional stuck-at fault."""
+    def trace(self, sequence, fault=None, initial_state=None):
+        """Output values per cycle, with an optional stuck-at fault.
+
+        ``initial_state`` sets some flip-flop outputs before the first
+        clock; the others start at X.
+        """
         stuck = None if fault is None else fault.value
         stem = fault is not None and fault.gate is None
         reader = None if fault is None else fault.gate
-        state = {flop.output: X for flop in self.flops}
+        initial = initial_state or {}
+        state = {flop.output: initial.get(flop.output, X) for flop in self.flops}
         outputs = []
         for vector in sequence:
             values = {net: vector.get(net, X) for net in self.circuit.inputs}
@@ -242,12 +247,12 @@ class SequentialOracle:
             }
         return outputs
 
-    def first_detections(self, faults, sequence):
+    def first_detections(self, faults, sequence, initial_state=None):
         """``{fault: first detecting cycle}`` over the detected faults."""
-        good = self.trace(sequence)
+        good = self.trace(sequence, initial_state=initial_state)
         detected = {}
         for fault in faults:
-            faulty = self.trace(sequence, fault)
+            faulty = self.trace(sequence, fault, initial_state)
             for cycle, (want, got) in enumerate(zip(good, faulty)):
                 if any(
                     g != X and f != X and g != f for g, f in zip(want, got)

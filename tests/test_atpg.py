@@ -159,6 +159,19 @@ class TestRandomGeneration:
         assert random_patterns(c, 10, seed=4) == random_patterns(c, 10, seed=4)
         assert random_patterns(c, 10, seed=4) != random_patterns(c, 10, seed=5)
 
+    @pytest.mark.parametrize("seed", [0, 1, 12345, 2**31 - 1])
+    def test_bulk_draw_matches_per_bit_randint(self, seed):
+        """The bulk draw reproduces ``rng.randint(0, 1)`` per bit, which
+        the pinned PODEM digests also depend on, on this Python."""
+        for circuit in (c17(), alu74181(), Circuit("no_inputs")):
+            for count in (0, 1, 7, 300):
+                rng = random.Random(seed)
+                per_bit = [
+                    {net: rng.randint(0, 1) for net in circuit.inputs}
+                    for _ in range(count)
+                ]
+                assert random_patterns(circuit, count, seed=seed) == per_bit
+
     def test_weighted_bias(self):
         c = wide_and_pla(8).to_circuit()
         heavy = weighted_random_patterns(
