@@ -174,15 +174,15 @@ class _ForcedNetFaultSimulator:
         sense_nets: Sequence[str],
         faults: Sequence[Fault],
     ) -> None:
-        from ..faultsim.expand import expand_branches, fault_site_net
+        from ..faultsim.expand import fault_site_net, netlist_structure
 
         self.circuit = circuit
         self.drive_nets = list(drive_nets)
         self.sense_nets = list(sense_nets)
         self.faults = list(faults)
-        self.expanded, self._branch_map = expand_branches(circuit)
-        self._sim = PackedSimulator(self.expanded)
-        self._site = lambda f: fault_site_net(f, self._branch_map)
+        structure = netlist_structure(circuit)
+        self._sim = PackedSimulator(structure.expanded)
+        self._site = lambda f: fault_site_net(f, structure.branch_map)
 
     def run(self, patterns: Sequence[Mapping[str, int]]) -> CoverageReport:
         """Run and collect the results."""

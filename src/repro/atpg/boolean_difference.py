@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..faults.stuck_at import Fault
-from ..faultsim.expand import expand_branches, fault_site_net
+from ..faultsim.expand import fault_site_net, netlist_structure
 from ..sim.packed import PackedPatternSet, PackedSimulator
 
 MAX_EXHAUSTIVE_INPUTS = 22
@@ -34,11 +34,11 @@ def _check_size(circuit: Circuit) -> None:
 def detecting_minterms(circuit: Circuit, fault: Fault) -> List[int]:
     """All input minterms whose pattern detects the fault (exact)."""
     _check_size(circuit)
-    expanded, branch_map = expand_branches(circuit)
-    sim = PackedSimulator(expanded)
+    structure = netlist_structure(circuit)
+    sim = PackedSimulator(structure.expanded)
     packed = PackedPatternSet.exhaustive(list(circuit.inputs))
     good = sim.run(packed)
-    site = fault_site_net(fault, branch_map)
+    site = fault_site_net(fault, structure.branch_map)
     mask = packed.mask
     forced = mask if fault.value else 0
     faulty = sim.run(packed, force={site: forced})
@@ -60,8 +60,7 @@ def boolean_difference(circuit: Circuit, output: str, net: str) -> List[int]:
     Computed as the XOR of the two forced-cofactor tables.
     """
     _check_size(circuit)
-    expanded, _ = expand_branches(circuit)
-    sim = PackedSimulator(expanded)
+    sim = PackedSimulator(netlist_structure(circuit).expanded)
     packed = PackedPatternSet.exhaustive(list(circuit.inputs))
     mask = packed.mask
     with_zero = sim.run(packed, force={net: 0})

@@ -27,7 +27,7 @@ from ..netlist import values as V
 from ..netlist.circuit import Circuit
 from ..netlist.gates import CONTROLLING_VALUE, GateType, evaluate
 from ..faults.stuck_at import Fault
-from ..faultsim.expand import expand_branches, fault_site_net
+from ..faultsim.expand import fault_site_net, netlist_structure
 from .podem import PodemResult
 
 
@@ -36,7 +36,8 @@ class DAlgorithm:
 
     def __init__(self, circuit: Circuit, backtrack_limit: int = 20000) -> None:
         self.circuit = circuit
-        self.expanded, self._branch_map = expand_branches(circuit)
+        structure = netlist_structure(circuit)
+        self.expanded, self._branch_map = structure.expanded, structure.branch_map
         self.backtrack_limit = backtrack_limit
         self._order = self.expanded.topological_order()
         self._outputs = set(self.expanded.outputs)

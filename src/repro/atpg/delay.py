@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..faults.stuck_at import Fault
-from ..faultsim.expand import expand_branches, fault_site_net
+from ..faultsim.expand import netlist_structure
 from ..faultsim.coverage import CoverageReport
 from ..sim.packed import PackedPatternSet, PackedSimulator
 from .podem import PodemGenerator
@@ -94,8 +94,7 @@ class TransitionTestGenerator:
             raise NetlistError("transition ATPG targets the scan core")
         self.circuit = circuit
         self._podem = PodemGenerator(circuit, backtrack_limit)
-        self.expanded, self._branch_map = expand_branches(circuit)
-        self._sim = PackedSimulator(self.expanded)
+        self._sim = PackedSimulator(self._podem.expanded)
 
     def _justify_value(self, net: str, value: int, seed: int) -> Optional[Pattern]:
         """Find any input pattern putting ``value`` on ``net``.
@@ -154,8 +153,7 @@ class TransitionFaultSimulator:
             raise NetlistError("transition fault simulation is combinational")
         self.circuit = circuit
         self.faults = list(faults) if faults is not None else all_transition_faults(circuit)
-        self.expanded, self._branch_map = expand_branches(circuit)
-        self._sim = PackedSimulator(self.expanded)
+        self._sim = PackedSimulator(netlist_structure(circuit).expanded)
 
     def detects(self, v1: Pattern, v2: Pattern, fault: TransitionFault) -> bool:
         """Does the (v1, v2) pair detect the transition fault?"""

@@ -12,11 +12,13 @@ Operates on the branch-expanded circuit so every fault is a stem force;
 returned patterns are over the original primary inputs (with ``None``
 marking don't-cares, ready for random fill or merge compaction).
 
-Implication is incremental.  :class:`PodemGenerator` numbers the nets
-once in dense topological order (primary inputs first, then each gate's
-output in ``topological_order()``), so a net's readers always carry
-larger indices.  Each gate becomes a reduction over the five-valued
-``AND_TABLE``/``OR_TABLE``/``XOR_TABLE`` with an optional
+Implication is incremental.  :class:`PodemGenerator` takes the nets'
+dense topological numbering (primary inputs first, then each gate's
+output in ``topological_order()``), fanin and readers from the
+compiled program of the netlist's structure
+(:func:`repro.faultsim.expand.netlist_structure`), so a net's readers
+always carry larger indices.  Each gate becomes a reduction over the
+five-valued ``AND_TABLE``/``OR_TABLE``/``XOR_TABLE`` with an optional
 ``NOT_TABLE`` inversion.  A decision re-evaluates only the fanout cone
 of the input it set, smallest index first (a heap), and pushes every
 ``(net, old value)`` it overwrites onto a trail; a flip or a backtrack
@@ -50,7 +52,7 @@ from ..netlist import values as V
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gates import CONTROLLING_VALUE, GateType
 from ..faults.stuck_at import Fault
-from ..faultsim.expand import expand_branches, fault_site_net
+from ..faultsim.expand import fault_site_net, netlist_structure
 
 # Every gate is ``invert(reduce(table, identity, inputs))``: NOT and BUF
 # are one-input NAND and AND, CONST0/CONST1 an empty OR and AND.
@@ -111,31 +113,29 @@ class PodemGenerator:
                 "PODEM targets combinational logic: use the scan core or TimeFrameAtpg"
             )
         self.circuit = circuit
-        self.expanded, self._branch_map = expand_branches(circuit)
+        structure = netlist_structure(circuit)
+        self.expanded, self._branch_map = structure.expanded, structure.branch_map
         self.backtrack_limit = backtrack_limit
-        self._order = self.expanded.topological_order()
-        inputs = list(self.expanded.inputs)
-        self._nets: List[str] = inputs + [gate.output for gate in self._order]
-        self._index: Dict[str, int] = {net: i for i, net in enumerate(self._nets)}
-        self._input_count = len(inputs)
-        index = self._index
-        size = len(self._nets)
+        program = structure.program
+        self._nets: List[str] = program.net_names
+        self._index: Dict[str, int] = program.index
+        self._input_count = program.num_sources
+        size = program.num_nets
         # Per net index (None/empty for primary inputs): evaluation op
         # ``(table, identity, invert, fanin)``, controlling value, fanin;
-        # readers ascending.
+        # readers ascending.  The program's ops follow the expanded
+        # circuit's topological order gate for gate.
         self._op: List[Optional[Tuple]] = [None] * size
         self._control: List[Optional[int]] = [None] * size
         self._fanin: List[Tuple[int, ...]] = [()] * size
-        self._fanout: List[List[int]] = [[] for _ in range(size)]
-        for net, gate in enumerate(self._order, start=self._input_count):
-            fanin = tuple(index[n] for n in gate.inputs)
+        order = self.expanded.topological_order()
+        for gate, (_, net, fanin) in zip(order, program.ops):
             self._op[net] = _REDUCTION[gate.kind] + (fanin,)
             self._control[net] = CONTROLLING_VALUE.get(gate.kind)
             self._fanin[net] = fanin
-            for source in fanin:
-                self._fanout[source].append(net)
         self._level = [self.expanded.level_of(net) for net in self._nets]
-        self._outputs = frozenset(index[net] for net in self.expanded.outputs)
+        self._fanout: List[List[int]] = program.readers()
+        self._outputs = frozenset(program.output_indices)
         # Fault-free values with every input X: each fault's state starts
         # here and re-implies only its sites' cones.
         self._base = [V.X] * size

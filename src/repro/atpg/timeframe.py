@@ -28,7 +28,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..faults.stuck_at import Fault
-from ..faults.collapse import collapse_faults
+from ..faultsim.expand import netlist_structure
 from ..faultsim.sequential import SequentialFaultSimulator
 from ..faultsim.coverage import CoverageReport
 from .podem import PodemGenerator
@@ -219,7 +219,7 @@ class TimeFrameAtpg:
     ) -> SequentialAtpgResult:
         """Run and collect the results."""
         if faults is None:
-            faults = collapse_faults(self.circuit)
+            faults = netlist_structure(self.circuit).collapsed(self.circuit)
         tests: List[SequentialTest] = []
         not_found: List[Fault] = []
         aborted: List[Fault] = []

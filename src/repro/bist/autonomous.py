@@ -27,7 +27,6 @@ from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..faults.stuck_at import Fault
-from ..faults.collapse import collapse_faults
 from ..faultsim.parallel_pattern import FaultSimulator
 from ..faultsim.coverage import CoverageReport
 from ..lfsr.lfsr import Lfsr

@@ -24,8 +24,7 @@ from .. import telemetry
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gates import GateType
 from ..faults.stuck_at import Fault, all_faults
-from ..faults.collapse import collapse_faults
-from ..faultsim.expand import expand_branches, fault_site_net
+from ..faultsim.expand import netlist_structure
 from ..sim.packed import PackedPatternSet, PackedSimulator
 
 MAX_SYNDROME_INPUTS = 20
@@ -49,12 +48,12 @@ class SyndromeAnalyzer:
         with telemetry.span(
             "bist.syndrome.analyze", circuit=circuit.name
         ):
-            self.expanded, self._branch_map = expand_branches(circuit)
-            self._sim = PackedSimulator(self.expanded)
+            structure = netlist_structure(circuit)
+            self._structure = structure
             self._packed = PackedPatternSet.exhaustive(list(circuit.inputs))
             # One good-machine pass on the compiled core; every faulty
             # machine afterwards re-evaluates only the fault's cached cone.
-            self._injector = self._sim.injector(self._packed)
+            self._injector = PackedSimulator(structure.expanded).injector(self._packed)
             self._good = self._injector.program.words_to_dict(self._injector.good)
             telemetry.incr("bist.syndrome.patterns", self._packed.count)
 
@@ -77,11 +76,9 @@ class SyndromeAnalyzer:
 
     def _faulty_outputs(self, fault: Fault) -> Dict[str, int]:
         telemetry.incr("bist.syndrome.fault_evals")
-        site = fault_site_net(fault, self._branch_map)
+        (site,) = self._structure.sites([fault])
         forced = self._packed.mask if fault.value else 0
-        return self._injector.faulty_output_words(
-            self._injector.site_index(site), forced
-        )
+        return self._injector.faulty_output_words(site, forced)
 
     def faulty_counts(self, fault: Fault) -> Dict[str, int]:
         """Per-output ones-counts of the faulty machine."""
@@ -100,7 +97,7 @@ class SyndromeAnalyzer:
     ) -> List[Fault]:
         """Faults whose counts match the good machine on every output."""
         if faults is None:
-            faults = collapse_faults(self.circuit)
+            faults = self._structure.collapsed(self.circuit)
         return [f for f in faults if not self.is_syndrome_testable(f)]
 
     # -- multi-pass (constrained) syndrome testing, Savir [116] ---------
@@ -148,7 +145,7 @@ class SyndromeAnalyzer:
         them.  Returns (passes, still-untestable faults).
         """
         if faults is None:
-            faults = collapse_faults(self.circuit)
+            faults = self._structure.collapsed(self.circuit)
         passes: List[Dict[str, int]] = [{}]
         remaining = [
             f for f in faults if not self.testable_with_passes(f, passes)

@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from .. import telemetry
 from ..netlist.circuit import Circuit, NetlistError
 from ..faults.stuck_at import Fault
-from ..faultsim.expand import expand_branches, fault_site_net
+from ..faultsim.expand import netlist_structure
 from ..sim.packed import PackedPatternSet, PackedSimulator
 
 MAX_WALSH_INPUTS = 20
@@ -45,12 +45,12 @@ class WalshAnalyzer:
             raise NetlistError(f"{n} inputs exceed the exhaustive limit")
         self.circuit = circuit
         with telemetry.span("bist.walsh.analyze", circuit=circuit.name):
-            self.expanded, self._branch_map = expand_branches(circuit)
-            self._sim = PackedSimulator(self.expanded)
+            structure = netlist_structure(circuit)
+            self._sites = structure.sites
             self._packed = PackedPatternSet.exhaustive(list(circuit.inputs))
             # One good-machine pass on the compiled core; faulty machines
             # re-evaluate only the fault's cached cone.
-            self._injector = self._sim.injector(self._packed)
+            self._injector = PackedSimulator(structure.expanded).injector(self._packed)
             self._good = self._injector.program.words_to_dict(self._injector.good)
             telemetry.incr("bist.walsh.patterns", self._packed.count)
         self._n = n
@@ -100,11 +100,9 @@ class WalshAnalyzer:
         """(C_0, C_all) of the faulty machine."""
         telemetry.incr("bist.walsh.fault_evals")
         net = output if output is not None else self.circuit.outputs[0]
-        site = fault_site_net(fault, self._branch_map)
+        (site,) = self._sites([fault])
         forced = self._packed.mask if fault.value else 0
-        faulty = self._injector.faulty_output_words(
-            self._injector.site_index(site), forced
-        )
+        faulty = self._injector.faulty_output_words(site, forced)
         f_word = faulty[net]
         inputs = list(self.circuit.inputs)
         return (

@@ -62,7 +62,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from ..netlist.circuit import Circuit
 from ..netlist.gates import GateType
 from .stuck_at import Fault, all_faults
-from .collapse import collapse_faults
 from .bridging import BridgeKind, BridgingFault, random_bridges
 from .cmos import (
     CMOS_SUPPORTED_KINDS,
@@ -544,11 +543,10 @@ def plan_fault_model(
     model = FaultModel.coerce(fault_model)
     if model is FaultModel.STUCK_AT:
         if faults is None:
-            fault_list = (
-                collapse_faults(circuit) if collapse else all_faults(circuit)
-            )
-        else:
-            fault_list = list(faults)
+            from ..faultsim.expand import netlist_structure
+
+            faults = netlist_structure(circuit).collapsed(circuit) if collapse else all_faults(circuit)
+        fault_list = list(faults)
         return FaultModelPlan(
             model=model,
             source=circuit,

@@ -1,5 +1,5 @@
 """Fault simulators: serial, parallel-pattern, parallel-fault, deductive,
-sequential (concurrent-style), plus coverage reporting.
+wide, lane-batched sequential (one pass per clock), plus coverage reports.
 
 All combinational engines share one API — construction
 ``(circuit, faults=None, collapse=True)`` plus ``run(patterns)``,

@@ -30,9 +30,9 @@ from .. import telemetry
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gates import CONTROLLING_VALUE, GateType
 from ..faults.stuck_at import Fault, all_faults
-from ..faults.collapse import collapse_faults
 from ..sim.compiled import compile_circuit
 from .coverage import CoverageReport
+from .expand import netlist_structure
 
 Pattern = Mapping[str, int]
 
@@ -50,7 +50,7 @@ class DeductiveFaultSimulator:
             raise NetlistError("DeductiveFaultSimulator is combinational")
         self.circuit = circuit
         if faults is None:
-            faults = collapse_faults(circuit) if collapse else all_faults(circuit)
+            faults = netlist_structure(circuit).collapsed(circuit) if collapse else all_faults(circuit)
         self.faults = list(faults)
         self._fault_set = set(self.faults)
         # Index faults by site for quick activation lookup.

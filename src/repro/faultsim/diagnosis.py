@@ -15,9 +15,8 @@ from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit
 from ..faults.stuck_at import Fault
-from ..faults.collapse import collapse_faults
 from ..sim.packed import PackedPatternSet, PackedSimulator
-from .expand import expand_branches, fault_site_net
+from .expand import fault_site_net, netlist_structure
 
 Pattern = Mapping[str, int]
 #: A behaviour signature: per pattern index, the set of failing outputs.
@@ -59,10 +58,9 @@ class FaultDictionary:
     ) -> None:
         self.circuit = circuit
         self.patterns = [dict(p) for p in patterns]
-        self.faults = (
-            list(faults) if faults is not None else collapse_faults(circuit)
-        )
-        self.expanded, self._branch_map = expand_branches(circuit)
+        structure = netlist_structure(circuit)
+        self.faults = list(faults if faults is not None else structure.collapsed(circuit))
+        self.expanded, self._branch_map = structure.expanded, structure.branch_map
         self._sim = PackedSimulator(self.expanded)
         self._packed = PackedPatternSet.from_patterns(
             list(circuit.inputs), self.patterns

@@ -7,23 +7,21 @@ the technique Chiang et al. compared against deductive simulation in
 1974; it is implemented both for completeness and as an independent
 cross-check of the PPSF engine in the test suite.
 
-Evaluation routes through the compiled core
-(:func:`repro.sim.compiled.compile_circuit`): the expanded circuit is
-levelized once into a flat integer program and the per-net injection
-masks become dense arrays applied as each word settles, so the inner
-loop performs no name hashing at all.
+Evaluation routes through the compiled core: the netlist's structure
+(:func:`repro.faultsim.expand.netlist_structure`) holds the expanded
+circuit levelized into a flat integer program, and the per-net
+injection masks are dense arrays over it, applied as each word
+settles, so the inner loop performs no name hashing at all.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence
 
 from .. import telemetry
 from ..netlist.circuit import Circuit, NetlistError
 from ..faults.stuck_at import Fault, all_faults
-from ..faults.collapse import collapse_faults
-from ..sim.compiled import CompiledCircuit, compile_circuit
-from .expand import expand_branches, fault_site_net
+from .expand import netlist_structure
 from .coverage import CoverageReport
 
 Pattern = Mapping[str, int]
@@ -41,54 +39,37 @@ class ParallelFaultSimulator:
         if not circuit.is_combinational:
             raise NetlistError("ParallelFaultSimulator is combinational")
         self.circuit = circuit
+        self.structure = netlist_structure(circuit)
         if faults is None:
-            faults = collapse_faults(circuit) if collapse else all_faults(circuit)
+            faults = self.structure.collapsed(circuit) if collapse else all_faults(circuit)
         self.faults = list(faults)
-        self.expanded, self._branch_map = expand_branches(circuit)
         # Machine 0 = good; machine j (1-based) = fault j-1.
-        self._machine_count = len(self.faults) + 1
-        self._mask = (1 << self._machine_count) - 1
-        # Per-site injection masks: bits to force to the stuck value.
-        self._force_one: Dict[str, int] = {}
-        self._force_zero: Dict[str, int] = {}
-        for index, fault in enumerate(self.faults):
-            site = fault_site_net(fault, self._branch_map)
+        self._mask = (2 << len(self.faults)) - 1
+        # Per-net injection masks: bits forced to 1, bits forced to 0.
+        program = self.structure.program
+        self._or_masks = [0] * program.num_nets
+        self._and_masks = [-1] * program.num_nets
+        sites = zip(self.faults, self.structure.sites(self.faults))
+        for index, (fault, site) in enumerate(sites):
+            if site is None:
+                continue
             bit = 1 << (index + 1)
             if fault.value:
-                self._force_one[site] = self._force_one.get(site, 0) | bit
+                self._or_masks[site] |= bit
             else:
-                self._force_zero[site] = self._force_zero.get(site, 0) | bit
-        # Dense per-net-index arrays for the compiled program, rebuilt
-        # whenever the program is (program identity tracks mutation).
-        self._mask_arrays: Optional[Tuple[CompiledCircuit, List[int], List[int]]] = None
-
-    def _injection_arrays(self) -> Tuple[CompiledCircuit, List[int], List[int]]:
-        program = compile_circuit(self.expanded)
-        cached = self._mask_arrays
-        if cached is not None and cached[0] is program:
-            return cached
-        or_masks = [0] * program.num_nets
-        and_masks = [-1] * program.num_nets
-        for site, bits in self._force_one.items():
-            index = program.index.get(site)
-            if index is not None:
-                or_masks[index] |= bits
-        for site, bits in self._force_zero.items():
-            index = program.index.get(site)
-            if index is not None:
-                and_masks[index] &= ~bits
-        self._mask_arrays = (program, or_masks, and_masks)
-        return self._mask_arrays
+                self._and_masks[site] &= ~bit
 
     def simulate_pattern(self, pattern: Pattern) -> List[Fault]:
         """Simulate one pattern across all machines; returns detected faults."""
-        program, or_masks, and_masks = self._injection_arrays()
+        program = self.structure.program
         mask = self._mask
         source_words = [
             mask if pattern.get(net, 0) else 0
             for net in program.source_names
         ]
-        words = program.eval_masked(source_words, mask, or_masks, and_masks)
+        words = program.eval_masked(
+            source_words, mask, self._or_masks, self._and_masks
+        )
         detected_bits = 0
         for out in program.output_indices:
             word = words[out]

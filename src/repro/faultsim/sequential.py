@@ -28,9 +28,7 @@ from .. import telemetry
 from ..netlist import values as V
 from ..netlist.circuit import Circuit
 from ..faults.stuck_at import Fault, all_faults
-from ..faults.collapse import collapse_faults
-from ..sim.compiled import CompiledCircuit
-from .expand import expand_branches, fault_site_net
+from .expand import netlist_structure
 from .coverage import CoverageReport
 
 Pattern = Mapping[str, int]
@@ -55,11 +53,10 @@ class SequentialFaultSimulator:
         collapse: bool = True,
     ) -> None:
         self.circuit = circuit
+        self.structure = netlist_structure(circuit)
         if faults is None:
-            faults = collapse_faults(circuit) if collapse else all_faults(circuit)
+            faults = self.structure.collapsed(circuit) if collapse else all_faults(circuit)
         self.faults = list(faults)
-        self.expanded, self._branch_map = expand_branches(circuit)
-        self.program = CompiledCircuit(self.expanded)
 
     def run(
         self,
@@ -87,11 +84,11 @@ class SequentialFaultSimulator:
         self, sequence: Sequence[Pattern], initial_state: Mapping[str, int]
     ) -> Dict[int, int]:
         """``{lane: first detecting cycle}`` over the detected lanes."""
-        program = self.program
+        program = self.structure.program
         mask = (2 << len(self.faults)) - 1
         stuck: Dict[int, Tuple[int, int]] = {}
-        for lane, fault in enumerate(self.faults, 1):
-            site = program.index.get(fault_site_net(fault, self._branch_map))
+        sites = self.structure.sites(self.faults)
+        for lane, (fault, site) in enumerate(zip(self.faults, sites), 1):
             if site is not None:
                 stuck0, stuck1 = stuck.get(site, (0, 0))
                 if fault.value:
@@ -99,8 +96,8 @@ class SequentialFaultSimulator:
                 else:
                     stuck0 |= 1 << lane
                 stuck[site] = (stuck0, stuck1)
-        inputs = self.expanded.inputs
-        flops = self.expanded.flip_flops
+        inputs = self.structure.expanded.inputs
+        flops = self.structure.expanded.flip_flops
         data = [program.index[flop.inputs[0]] for flop in flops]
         state = [
             _rails(initial_state.get(flop.output, V.X), mask) for flop in flops

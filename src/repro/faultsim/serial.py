@@ -14,9 +14,7 @@ from typing import List, Mapping, Optional, Sequence
 from .. import telemetry
 from ..netlist.circuit import Circuit, NetlistError
 from ..faults.stuck_at import Fault, all_faults
-from ..faults.collapse import collapse_faults
-from ..sim.logic import LogicSimulator
-from .expand import expand_branches, fault_site_net
+from .expand import fault_site_net, netlist_structure
 from .coverage import CoverageReport
 
 Pattern = Mapping[str, int]
@@ -34,10 +32,11 @@ class SerialFaultSimulator:
         if not circuit.is_combinational:
             raise NetlistError("SerialFaultSimulator is combinational")
         self.circuit = circuit
+        structure = netlist_structure(circuit)
         if faults is None:
-            faults = collapse_faults(circuit) if collapse else all_faults(circuit)
+            faults = structure.collapsed(circuit) if collapse else all_faults(circuit)
         self.faults = list(faults)
-        self.expanded, self._branch_map = expand_branches(circuit)
+        self.expanded, self._branch_map = structure.expanded, structure.branch_map
         self._order = self.expanded.topological_order()
 
     def _evaluate(

@@ -18,16 +18,15 @@ or globally via the ``REPRO_WIDE_BACKEND`` environment variable.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from .. import telemetry
 from ..netlist.circuit import Circuit, NetlistError
 from ..faults.stuck_at import Fault, all_faults
-from ..faults.collapse import collapse_faults
-from ..sim.compiled import compile_circuit
+from ..sim.compiled import compile_circuit  # noqa: F401 (e2ebench tracer)
 from ..sim.packed import PackedPatternSet
 from ..sim.wide import WideInjector, resolve_backend
-from .expand import expand_branches, fault_site_net
+from .expand import netlist_structure
 from .coverage import CoverageReport
 
 Pattern = Mapping[str, int]
@@ -70,90 +69,39 @@ class WideFaultSimulator:
         if fault_batch < 1:
             raise ValueError(f"fault_batch must be >= 1, got {fault_batch}")
         self.circuit = circuit
+        self.structure = netlist_structure(circuit)
         if faults is None:
-            faults = collapse_faults(circuit) if collapse else all_faults(circuit)
+            faults = self.structure.collapsed(circuit) if collapse else all_faults(circuit)
         self.faults = list(faults)
         self.backend = resolve_backend(backend)
         self.fault_batch = fault_batch
-        self.expanded, self._branch_map = expand_branches(circuit)
-        self._program = compile_circuit(self.expanded)
-        # Per-fault site index in the expanded circuit (None = absent net,
-        # never detected — matching the parallel-pattern engine).
-        self._site_index: Dict[Fault, Optional[int]] = {}
-        # Site per position in self.faults, and the site-sorted order of
-        # the full list — both computed once (dataclass hashing per
-        # fault per run would otherwise show up in profiles).
-        self._sites: Optional[List[Optional[int]]] = None
-        self._full_order: Optional[List[int]] = None
-
-    def _site(self, fault: Fault) -> Optional[int]:
-        try:
-            return self._site_index[fault]
-        except KeyError:
-            site = self._program.index.get(
-                fault_site_net(fault, self._branch_map)
-            )
-            self._site_index[fault] = site
-            return site
-
-    def _fault_sites(self) -> List[Optional[int]]:
-        sites = self._sites
-        if sites is None:
-            index_get = self._program.index.get
-            branch_map = self._branch_map
-            sites = [
-                index_get(fault_site_net(fault, branch_map))
-                for fault in self.faults
-            ]
-            self._sites = sites
-        return sites
-
-    def _ordered(self, indices: Sequence[int]) -> List[int]:
-        """``indices`` (positions into ``self.faults``) sorted by site.
-
-        The dense net index *is* the topological position, so sorting by
-        it clusters faults whose cones share downstream logic.  The sort
-        is stable and pure, so batching is deterministic.
-        """
-        if len(indices) == len(self.faults):
-            order = self._full_order
-            if order is not None:
-                return order
-        sites = self._fault_sites()
-        sentinel = self._program.num_nets
-        order = sorted(
-            indices,
-            key=lambda k: sentinel if sites[k] is None else sites[k],
+        self.expanded = self.structure.expanded
+        self._sites = self.structure.sites(self.faults)
+        # Positions of the faults whose site is in the netlist (the rest
+        # are never detected), sorted by site.  The dense net index *is*
+        # the topological position, so this clusters faults whose cones
+        # share downstream logic.  The sort is stable and pure, so
+        # batching is deterministic.
+        self._order = sorted(
+            (k for k, site in enumerate(self._sites) if site is not None),
+            key=self._sites.__getitem__,
         )
-        if len(indices) == len(self.faults):
-            self._full_order = order
-        return order
 
     def _grade_batchwise(
         self, injector: WideInjector, indices: Sequence[int]
     ) -> Dict[int, int]:
-        """Detection word per fault position, lane-batched."""
+        """Detection word per fault position in ``indices`` (distinct
+        positions; faults whose site is not in the netlist get none)."""
+        order = self._order
+        if len(indices) < len(self.faults):
+            live = set(indices)
+            order = [k for k in order if k in live]
+        sites, faults, mask = self._sites, self.faults, injector.mask
         detections: Dict[int, int] = {}
-        sites = self._fault_sites()
-        faults = self.faults
-        mask = injector.mask
-        order = self._ordered(indices)
-        step = self.fault_batch
-        for start in range(0, len(order), step):
-            chunk = order[start : start + step]
-            targets: List[Tuple[int, int]] = []
-            positions: List[int] = []
-            for k in chunk:
-                site = sites[k]
-                if site is None:
-                    detections[k] = 0
-                    continue
-                targets.append((site, mask if faults[k].value else 0))
-                positions.append(k)
-            if not targets:
-                continue
-            for k, det in zip(positions, injector.grade(targets)):
-                detections[k] = det
+        for start in range(0, len(order), self.fault_batch):
+            chunk = order[start : start + self.fault_batch]
+            targets = [(sites[k], mask if faults[k].value else 0) for k in chunk]
+            detections.update(zip(chunk, injector.grade(targets)))
         return detections
 
     def run(
@@ -184,8 +132,8 @@ class WideFaultSimulator:
         drop_detected: bool,
     ) -> CoverageReport:
         report = CoverageReport(self.circuit.name, len(patterns), list(self.faults))
-        remaining = list(range(len(self.faults)))
         faults = self.faults
+        remaining = list(range(len(faults)))
         inputs = self.circuit.inputs
         for start in range(0, len(patterns), batch_size):
             if not remaining:
@@ -212,7 +160,7 @@ class WideFaultSimulator:
     def detects(self, pattern: Pattern, fault: Fault) -> bool:
         """Does one pattern detect one fault?  (ATPG verification hook.)"""
         telemetry.incr("faultsim.detects_calls")
-        site = self._site(fault)
+        (site,) = self.structure.sites([fault])
         if site is None:
             return False
         packed = PackedPatternSet.from_patterns(self.circuit.inputs, [pattern])

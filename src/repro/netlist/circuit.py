@@ -67,6 +67,8 @@ class Circuit:
         self._levels: Dict[str, int] = {}
         self._fanout: Dict[str, List[Gate]] = {}
         self._cyclic_gates: List[str] = []
+        # (version, digest) memo of repro.netlist.hashing.ordered_hash.
+        self._ordered_hash: Optional[Tuple[int, str]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -236,10 +238,9 @@ class Circuit:
         """Monotonic mutation counter.
 
         Incremented on every netlist mutation (gate/input/output added).
-        External caches — most importantly the compiled evaluation
-        programs in :mod:`repro.sim.compiled` — key on ``(circuit,
-        version)`` so a mutated netlist can never be served a stale
-        levelization or compiled program.
+        The in-process structure cache keys on
+        :func:`repro.netlist.hashing.ordered_hash`, memoized per version,
+        so a mutated netlist is re-keyed and never served stale state.
         """
         return self._version
 

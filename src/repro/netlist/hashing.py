@@ -28,6 +28,13 @@ that can change a flow's deterministic output belongs in ``params``;
 anything guaranteed not to (e.g. ``workers`` — sharded execution is
 bit-identical by contract) must stay out, so warm caches are shared
 across parallelism settings.
+
+:func:`ordered_hash` keys the in-process structure cache
+(:func:`repro.sim.compiled.cached`): a digest of the netlist *as
+built*, inputs, outputs and gates in declaration order.  It must not
+sort, because order changes results: collapsing lists classes in gate
+order and PODEM breaks ties by topological index, so netlists equal
+under :func:`structural_hash` can get different fault lists and cubes.
 """
 
 from __future__ import annotations
@@ -43,6 +50,7 @@ __all__ = [
     "CACHE_KEY_SCHEMA",
     "canonical_form",
     "structural_hash",
+    "ordered_hash",
     "cache_key",
 ]
 
@@ -95,6 +103,21 @@ def structural_hash(circuit: Circuit) -> str:
     :attr:`Circuit.version` remains the *in-process* staleness counter.
     """
     return _digest(canonical_form(circuit))
+
+
+def ordered_hash(circuit: Circuit) -> str:
+    """SHA-256 hex digest of the inputs, outputs and gates ``(name,
+    type, inputs, output)`` in declaration order (circuit name left
+    out).  Computed at first use and memoized per
+    :attr:`Circuit.version`; an in-process key that nothing persists.
+    """
+    memo = circuit._ordered_hash
+    if memo is None or memo[0] != circuit.version:
+        gates = [(g.name, g.kind.value, g.inputs, g.output) for g in circuit.gates]
+        text = repr((circuit.inputs, circuit.outputs, gates))
+        digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        memo = circuit._ordered_hash = (circuit.version, digest)
+    return memo[1]
 
 
 def cache_key(

@@ -29,8 +29,9 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence
 from .. import telemetry
 from ..netlist.circuit import Circuit
 from ..atpg.api import generate_tests, TestGenerationResult
-from ..faults.collapse import collapse_faults
+from ..faults.collapse import collapse_faults  # noqa: F401 (e2ebench tracer)
 from ..faults.models import FaultModel, UnsupportedFaultModelError
+from ..faultsim.expand import netlist_structure
 from ..faultsim.sharded import SEQUENTIAL_ENGINE, ShardedFaultSimulator
 from ..faultsim.coverage import CoverageReport, sample_fault_list
 from ..economics.overhead import scan_test_data_volume
@@ -159,11 +160,11 @@ def full_scan_flow(
     ``engine``/``reverse_compact`` pass through to the core
     :func:`~repro.atpg.api.generate_tests` call.  ``fault_limit`` caps
     the number of faults sequentially verified by a random sample drawn
-    with ``sample_seed`` (verification costs one sequential pass per
-    fault; benchmarks on larger designs sample).  ``workers > 1``
-    shards both the core ATPG's fault-simulation passes and the
-    sequential verification across that many processes — the result is
-    bit-identical to ``workers=1``.  ``backend`` selects the
+    with ``sample_seed`` (verification grades every sampled fault in
+    one lane-batched pass per clock; larger designs sample).
+    ``workers > 1`` shards both the core ATPG's fault-simulation passes
+    and the sequential verification across that many processes — the
+    result is bit-identical to ``workers=1``.  ``backend`` selects the
     :mod:`repro.exec` execution backend for both pools (default
     auto-selects fork where available, else spawn).
 
@@ -231,9 +232,9 @@ def full_scan_flow(
             coverage: Optional[CoverageReport] = None
             if verify:
                 with telemetry.span("scan.phase.verify"):
-                    faults = sample_fault_list(
-                        collapse_faults(design.circuit), fault_limit, sample_seed
-                    )
+                    # Built before the pool forks, so workers inherit it.
+                    faults = netlist_structure(design.circuit).collapsed(design.circuit)
+                    faults = sample_fault_list(faults, fault_limit, sample_seed)
                     telemetry.incr("scan.verify.faults", len(faults))
                     verifier = ShardedFaultSimulator(
                         design.circuit,

@@ -1,27 +1,30 @@
 """Compiled simulation core: levelize once, evaluate as a flat program.
 
 This is the repo-wide fast path behind every bit-parallel engine.  A
-:class:`Circuit` is *compiled* exactly once into a flat evaluation
-program: nets become dense integer indices, gates become topologically
-ordered ``(opcode, out_index, in_indices)`` tuples, and evaluation is a
-single pass writing machine words (arbitrary-precision ints, one bit
-per pattern or per machine) into a flat list.  Compared with a
-dict-keyed per-gate walk this removes every hash lookup and attribute
-access from the inner loop — the paper's "compiled code Boolean
-simulation" (§IV-A, refs [2], [74], [106], [107]) in Python terms.
+:class:`Circuit` is *compiled* into a flat evaluation program: nets
+become dense integer indices, gates become topologically ordered
+``(opcode, out_index, in_indices)`` tuples, and evaluation is a single
+pass writing machine words (arbitrary-precision ints, one bit per
+pattern or per machine) into a flat list.  Compared with a dict-keyed
+per-gate walk this removes every hash lookup and attribute access from
+the inner loop — the paper's "compiled code Boolean simulation" (§IV-A,
+refs [2], [74], [106], [107]) in Python terms.
 
-Programs are cached per circuit and keyed on :attr:`Circuit.version`,
-the netlist mutation counter, so mutating a circuit (adding a gate,
-rerouting logic) can never serve a stale program — the staleness bug
-class the regression tests in ``tests/test_compiled_core.py`` pin down.
+Programs live in one bounded process-wide LRU (:func:`cached`), with
+the structures of :func:`repro.faultsim.expand.netlist_structure`,
+keyed on :func:`repro.netlist.hashing.ordered_hash`: equal netlists
+share one program whatever object they arrive in, and a mutated
+circuit is re-keyed, so it is never served a stale program (the bug
+class ``tests/test_compiled_core.py`` pins down).
 
 On top of the flat program sits **fault-cone caching**: for a fault
 site the :meth:`CompiledCircuit.cone` method extracts (and caches) the
 sub-program driven by that net — only those ops, in topo order, plus
 the primary outputs they can reach.  Injecting a stuck-at fault then
-costs one list copy plus an evaluation of the cone instead of the whole
-netlist, which is what makes parallel-pattern single-fault simulation
-scale with average cone size rather than circuit size.
+costs an evaluation of the cone instead of the whole netlist, which is
+what makes parallel-pattern single-fault simulation scale with average
+cone size rather than circuit size.  Cached programs outlive the
+engines that use them, so the cones do too.
 
 The same program also runs three-valued over two rails per net ("may be
 0", "may be 1"; :meth:`CompiledCircuit.eval_two_rail`), one bit per
@@ -31,12 +34,29 @@ faulty machine of a clock in one pass.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
-from weakref import WeakKeyDictionary
+import threading
+from collections import OrderedDict
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from ..netlist.circuit import Circuit, NetlistError
 from ..netlist.gates import GateType
+from ..netlist.hashing import ordered_hash
 from ..telemetry import incr as _incr
+
+#: Compiled programs and structures one process keeps: two entries per
+#: netlist (structure, expansion program), one per unexpanded program.
+#: Sized from logged lookups of the ``e2ebench`` workloads (seed 1,
+#: 25 s): every reuse hits once the LRU holds ``grade``'s 4 entries,
+#: ``testgen``'s 10 and ``serve``'s 12 (alu74181's stuck-at and
+#: transition entries, reused across bridging cells that add two
+#: single-use entries each), and ``serve`` then builds 320 entries in
+#: 5,985 lookups.  At 8, ``serve`` builds 376 and ``testgen`` 116
+#: instead of 10.  16 leaves room for two more netlists.
+CACHE_ENTRIES = 16
+
+#: Union cones (:mod:`repro.sim.wide`) one program keeps: ``r5315``
+#: grades 45 full-list fault batches per call, plus a few per block.
+UNION_CONES = 128
 
 # Opcodes of the flat program.  The two-input forms of the commutative
 # gates are specialized because they dominate real netlists and their
@@ -85,22 +105,43 @@ _BINARY_OPCODE = {
 Op = Tuple[int, int, Tuple[int, ...]]
 
 
-class ConeProgram:
+class ConeProgram(NamedTuple):
     """Cached sub-program for one fault site: its output cone only."""
 
-    __slots__ = ("site", "ops", "po_indices", "net_indices")
+    site: int
+    ops: List[Op]
+    po_indices: List[int]
 
-    def __init__(
-        self,
-        site: int,
-        ops: List[Op],
-        po_indices: List[int],
-        net_indices: Set[int],
-    ) -> None:
-        self.site = site
-        self.ops = ops
-        self.po_indices = po_indices
-        self.net_indices = net_indices
+
+class BoundedCache(OrderedDict):
+    """Least-recently-used map of at most ``size`` entries.
+
+    :meth:`lookup` and :meth:`insert` take one lock, so threads sharing
+    an entry (daemon lanes running cells inline) never see it mid-update.
+    """
+
+    def __init__(self, size: int) -> None:
+        super().__init__()
+        self.size = size
+        self._lock = threading.Lock()
+
+    def lookup(self, key: Any) -> Any:
+        """The entry for ``key`` (now the most recent), or None."""
+        with self._lock:
+            value = self.get(key)
+            if value is not None:
+                self.move_to_end(key)
+            return value
+
+    def insert(self, key: Any, value: Any) -> Any:
+        """Insert unless another thread already did; returns the entry
+        held, evicting the least recently used beyond ``size``."""
+        with self._lock:
+            value = self.setdefault(key, value)
+            self.move_to_end(key)
+            while len(self) > self.size:
+                self.popitem(last=False)
+            return value
 
 
 class CompiledCircuit:
@@ -114,10 +155,8 @@ class CompiledCircuit:
     """
 
     def __init__(self, circuit: Circuit) -> None:
-        # No reference to ``circuit`` itself: it is this program's key
-        # in the weak-keyed compile cache, which must be free to drop
-        # the entry once the circuit dies.
-        self.version = circuit.version
+        # No reference to ``circuit`` itself: a cached program outlives
+        # the circuit it was compiled from.
         self.output_names: Tuple[str, ...] = tuple(circuit.outputs)
         order = circuit.topological_order()
 
@@ -158,7 +197,7 @@ class CompiledCircuit:
         # Union-cone cache for the wide engine (repro.sim.wide): keyed by
         # the sorted site tuple, living here so it persists across the
         # per-pattern-batch WideInjector rebuilds.
-        self.union_cones: Dict[Tuple[int, ...], Tuple[List[Op], List[int]]] = {}
+        self.union_cones = BoundedCache(UNION_CONES)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -258,13 +297,14 @@ class CompiledCircuit:
     # ------------------------------------------------------------------
     # Fault-cone caching
     # ------------------------------------------------------------------
-    def _reader_map(self) -> List[List[int]]:
+    def readers(self) -> List[List[int]]:
+        """Per net index, the outputs of the ops reading it, ascending."""
         readers = self._readers
         if readers is None:
             readers = [[] for _ in range(self.num_nets)]
-            for position, (_, _, ins) in enumerate(self.ops):
+            for _, out, ins in self.ops:
                 for idx in ins:
-                    readers[idx].append(position)
+                    readers[idx].append(out)
             self._readers = readers
         return readers
 
@@ -273,23 +313,19 @@ class CompiledCircuit:
         cached = self._cones.get(site)
         if cached is not None:
             return cached
-        readers = self._reader_map()
-        net_indices: Set[int] = {site}
-        op_positions: Set[int] = set()
+        readers = self.readers()
+        reached = set()
         stack = [site]
         while stack:
-            current = stack.pop()
-            for position in readers[current]:
-                if position not in op_positions:
-                    op_positions.add(position)
-                    out = self.ops[position][1]
-                    if out not in net_indices:
-                        net_indices.add(out)
-                        stack.append(out)
-        ops = [self.ops[p] for p in sorted(op_positions)]
-        po_indices = [o for o in self.output_indices if o in net_indices]
-        cone = ConeProgram(site, ops, po_indices, net_indices)
-        self._cones[site] = cone
+            for out in readers[stack.pop()]:
+                if out not in reached:
+                    reached.add(out)
+                    stack.append(out)
+        # Op outputs are numbered in program order after the sources.
+        ops = [self.ops[out - self.num_sources] for out in sorted(reached)]
+        reached.add(site)
+        po_indices = [o for o in self.output_indices if o in reached]
+        cone = self._cones[site] = ConeProgram(site, ops, po_indices)
         return cone
 
     def eval_cone(
@@ -311,10 +347,10 @@ class CompiledCircuit:
     ) -> None:
         """In-place :meth:`eval_cone` against a caller-owned scratch list.
 
-        ``scratch`` must equal the base evaluation on every net in
-        ``cone.net_indices`` on entry; on return exactly those nets hold
-        faulty values and every other entry is untouched.  The caller
-        restores the cone nets afterwards to keep the invariant — this
+        ``scratch`` must equal the base evaluation on the site and every
+        output of ``cone.ops`` on entry; on return exactly those nets
+        hold faulty values and every other entry is untouched.  The
+        caller restores them afterwards to keep the invariant — this
         trades the per-fault ``list(base_words)`` copy (which scales
         with circuit size) for a restore loop that scales with cone
         size.
@@ -474,24 +510,30 @@ def _run_two_rail(
         ones[out] = o
 
 
-_PROGRAM_CACHE: "WeakKeyDictionary[Circuit, CompiledCircuit]" = WeakKeyDictionary()
+_CACHE = BoundedCache(CACHE_ENTRIES)
+
+
+def cached(kind: str, circuit: Circuit, build: Callable[[Circuit], Any]) -> Any:
+    """The ``kind`` entry of ``circuit``'s netlist, built on first use.
+
+    One LRU of :data:`CACHE_ENTRIES` entries, keyed on ``(kind,``
+    :func:`~repro.netlist.hashing.ordered_hash` ``)``, serves every kind;
+    entries are shared, so nothing may mutate one.
+    ``sim.compiled.compiles`` counts builds, ``sim.compiled.cache_hits``
+    reuses.
+    """
+    key = (kind, ordered_hash(circuit))
+    entry = _CACHE.lookup(key)
+    if entry is not None:
+        _incr("sim.compiled.cache_hits")
+        return entry
+    _incr("sim.compiled.compiles")
+    return _CACHE.insert(key, build(circuit))
 
 
 def compile_circuit(circuit: Circuit) -> CompiledCircuit:
-    """Compile (or fetch the cached program for) a circuit.
-
-    The cache is keyed on the circuit object *and* its mutation
-    version: any netlist mutation bumps :attr:`Circuit.version`, so the
-    next call transparently recompiles instead of serving stale state.
-    """
-    cached = _PROGRAM_CACHE.get(circuit)
-    if cached is not None and cached.version == circuit.version:
-        _incr("sim.compiled.cache_hits")
-        return cached
-    _incr("sim.compiled.compiles")
-    program = CompiledCircuit(circuit)
-    _PROGRAM_CACHE[circuit] = program
-    return program
+    """The compiled program of ``circuit``'s netlist (see :func:`cached`)."""
+    return cached("program", circuit, CompiledCircuit)
 
 
 class FaultInjector:
@@ -516,10 +558,6 @@ class FaultInjector:
         # always restored to the good machine between injections.
         self._scratch: Optional[List[int]] = None
 
-    def site_index(self, net: str) -> Optional[int]:
-        """Dense index of a fault-site net (None when absent)."""
-        return self.program.index.get(net)
-
     def detect_word(self, site: int, forced_word: int) -> int:
         """Patterns (bits) on which forcing ``site`` flips some PO.
 
@@ -539,8 +577,9 @@ class FaultInjector:
             detected |= good[out] ^ scratch[out]
         # Restore the cone's nets so the scratch mirrors the good machine
         # again — the aliasing invariant the next injection relies on.
-        for index in cone.net_indices:
-            scratch[index] = good[index]
+        scratch[site] = good[site]
+        for _, out, _ in cone.ops:
+            scratch[out] = good[out]
         return detected & self.mask
 
     def faulty_words(self, site: int, forced_word: int) -> List[int]:

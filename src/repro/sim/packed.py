@@ -93,9 +93,8 @@ class PackedSimulator:
     fault simulator via fanout-branch modeling).
 
     Evaluation routes through the compiled core
-    (:mod:`repro.sim.compiled`): the circuit is levelized once into a
-    flat program, cached per circuit and invalidated by netlist
-    mutation.
+    (:mod:`repro.sim.compiled`): the netlist is levelized once into a
+    flat program, cached per netlist and re-keyed by any mutation.
     """
 
     def __init__(self, circuit: Circuit) -> None:

@@ -43,7 +43,7 @@ their driving op evaluates, preserving the stuck value per lane.
 from __future__ import annotations
 
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from ..netlist.circuit import Circuit
 from ..telemetry import incr as _incr
@@ -586,10 +586,6 @@ class WideInjector:
         self.backend_name = resolve_backend(backend)
         self._lanes = _BACKEND_CLASSES[self.backend_name](self.good, self.count)
 
-    def site_index(self, net: str) -> Optional[int]:
-        """Dense index of a fault-site net (None when absent)."""
-        return self.program.index.get(net)
-
     def _union_cone(
         self, sites: Sequence[int]
     ) -> Tuple[List[Op], List[int]]:
@@ -604,46 +600,43 @@ class WideInjector:
         real gates.  Results are cached on the compiled program (the
         cone set depends only on the site set, not the patterns), so
         repeat batches — every pattern batch grades the same fault
-        batches — skip both the BFS and the compaction.
+        batches — skip both the BFS and the compaction (a bounded LRU:
+        the program outlives its engines).
         """
         program = self.program
         key = tuple(sorted(set(sites)))
-        cached = program.union_cones.get(key)
+        cached = program.union_cones.lookup(key)
         if cached is not None:
             _incr("sim.wide.union_cache_hits")
             return cached
         _incr("sim.wide.union_cones_built")
-        readers = program._reader_map()
-        nets = set(key)
-        positions: set = set()
-        stack = list(nets)
+        readers = program.readers()
+        reached: set = set()
+        stack = list(key)
         while stack:
-            current = stack.pop()
-            for position in readers[current]:
-                if position not in positions:
-                    positions.add(position)
-                    out = program.ops[position][1]
-                    if out not in nets:
-                        nets.add(out)
-                        stack.append(out)
-        po_indices = [o for o in program.output_indices if o in nets]
+            for out in readers[stack.pop()]:
+                if out not in reached:
+                    reached.add(out)
+                    stack.append(out)
         # Sites must stay materialized (their lanes get forced) and POs
         # must stay materialized (detection reads them by index).
         keep = set(key)
+        po_indices = [o for o in program.output_indices if o in keep or o in reached]
         keep.update(po_indices)
         alias: Dict[int, int] = {}
         alias_get = alias.get
         ops: List[Op] = []
-        for position in sorted(positions):
-            op, out, ins = program.ops[position]
-            ins = tuple(alias_get(i, i) for i in ins)
+        first = program.num_sources
+        for net in sorted(reached):
+            entry = program.ops[net - first]
+            op, out, ins = entry
+            aliased = tuple(alias_get(i, i) for i in ins)
             if op == OP_BUF and out not in keep:
-                alias[out] = ins[0]
+                alias[out] = aliased[0]
                 continue
-            ops.append((op, out, ins))
-        result = (ops, po_indices)
-        program.union_cones[key] = result
-        return result
+            # Unchanged ops share the program's tuple (the cache is long-lived).
+            ops.append(entry if aliased == ins else (op, out, aliased))
+        return program.union_cones.insert(key, (ops, po_indices))
 
     def grade(self, targets: Sequence[Tuple[int, int]]) -> List[int]:
         """Detection words for a batch of ``(site, forced_word)`` faults.

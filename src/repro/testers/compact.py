@@ -85,12 +85,12 @@ def compact_method_comparison(
     (syndrome over the given set), transition counting, and a 16-bit
     signature.  All share the same ordered pattern list.
     """
-    from ..faultsim.expand import expand_branches, fault_site_net
+    from ..faultsim.expand import fault_site_net, netlist_structure
     from ..lfsr.signature import SignatureRegister
 
     faults = list(faults)
-    expanded, branch_map = expand_branches(circuit)
-    sim = PackedSimulator(expanded)
+    structure = netlist_structure(circuit)
+    sim = PackedSimulator(structure.expanded)
     packed = PackedPatternSet.from_patterns(list(circuit.inputs), patterns)
     good = sim.run(packed)
     count = len(patterns)
@@ -115,7 +115,7 @@ def compact_method_comparison(
 
     exposed = {"full": 0, "ones": 0, "transitions": 0, "signature": 0}
     for fault in faults:
-        site = fault_site_net(fault, branch_map)
+        site = fault_site_net(fault, structure.branch_map)
         forced = packed.mask if fault.value else 0
         faulty = sim.run(packed, force={site: forced})
         faulty_streams = streams(faulty)

@@ -79,16 +79,16 @@ class TestProgramCache:
         )
 
     def test_cache_entry_dies_with_its_circuit(self):
-        # Regression: a program holding its own circuit kept the
-        # weak-keyed cache entry alive forever, so every simulator
-        # construction leaked a compiled program.
+        # Regression: a program holding its own circuit kept the cache
+        # entry (and the circuit) alive forever.  A cached program now
+        # outlives its circuit by design; the cache's bound is pinned in
+        # tests/test_structure_cache.py.
         c = _xor_pair()
-        program = compile_circuit(c)
-        circuit_ref, program_ref = weakref.ref(c), weakref.ref(program)
-        del c, program
+        compile_circuit(c)
+        circuit_ref = weakref.ref(c)
+        del c
         gc.collect()
         assert circuit_ref() is None
-        assert program_ref() is None
 
     def test_cyclic_circuit_rejected(self):
         c = Circuit("latch")
@@ -238,7 +238,7 @@ class TestScratchAliasing:
     def _injector(self, circuit, count=24, seed=3):
         import random
 
-        from repro.faultsim import expand_branches, fault_site_net
+        from repro.faultsim.expand import netlist_structure
         from repro.sim import FaultInjector
 
         rng = random.Random(seed)
@@ -247,15 +247,14 @@ class TestScratchAliasing:
             for _ in range(count)
         ]
         packed = PackedPatternSet.from_patterns(circuit.inputs, patterns)
-        expanded, branch_map = expand_branches(circuit)
-        injector = FaultInjector(expanded, packed)
-        from repro.faults import collapse_faults
-
-        sites = []
-        for fault in collapse_faults(circuit):
-            site = injector.site_index(fault_site_net(fault, branch_map))
-            if site is not None:
-                sites.append((site, packed.mask if fault.value else 0))
+        structure = netlist_structure(circuit)
+        injector = FaultInjector(structure.expanded, packed)
+        faults = structure.collapsed(circuit)
+        sites = [
+            (site, packed.mask if fault.value else 0)
+            for fault, site in zip(faults, structure.sites(faults))
+            if site is not None
+        ]
         return injector, packed, sites
 
     def test_scratch_restored_between_injections(self):

@@ -79,12 +79,13 @@ def check_cone_matches_full_netlist(circuit_seed, pattern_seed):
         site = fault_site_net(fault, branch_map)
         forced = packed.mask if fault.value else 0
         full = reference.evaluate(force={site: forced})
-        cone_words = injector.faulty_words(injector.site_index(site), forced)
+        cone_words = injector.faulty_words(program.index[site], forced)
         cone = program.cone(program.index[site])
         for net, index in program.index.items():
             assert cone_words[index] == full[net], (
                 f"fault {fault.name}: net {net} cone-cached word differs "
-                f"from full-netlist word (in cone: {index in cone.net_indices})"
+                f"from full-netlist word (in cone: "
+                f"{index == cone.site or index in {o for _, o, _ in cone.ops}})"
             )
 
 

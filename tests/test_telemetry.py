@@ -360,9 +360,11 @@ class TestGenerateTestsManifest:
     def test_engine_counters_flow_into_manifest(self):
         manifest = generate_tests(c17(), random_phase=4, seed=1).manifest
         # The fault-sim engine ran under capture(), so its counters and
-        # the compiled core's cache stats land in the same manifest.
+        # the compiled core's cache stats land in the same manifest.  The
+        # netlist's structure is built (or found) by plan_fault_model
+        # before capture starts, so inside it every lookup is a reuse.
         assert manifest.counters.get("faultsim.patterns_simulated", 0) > 0
-        assert manifest.counters.get("sim.compiled.compiles", 0) >= 1
+        assert manifest.counters.get("sim.compiled.cache_hits", 0) >= 1
 
     def test_reverse_compact_phase_recorded(self):
         manifest = generate_tests(

@@ -296,7 +296,11 @@ class TestUnionCone:
             circuit, _random_patterns(circuit, 8, seed=0)
         )
         sites = sorted(
-            {s for s in simulator._fault_sites() if s is not None}
+            {
+                s
+                for s in simulator.structure.sites(simulator.faults)
+                if s is not None
+            }
         )[:50]
         ops, po_indices = injector._union_cone(sites)
         keep = set(sites) | set(po_indices)
@@ -331,7 +335,8 @@ class TestUnionCone:
             targets = [
                 (site, mask if fault.value else 0)
                 for fault, site in zip(
-                    simulator.faults, simulator._fault_sites()
+                    simulator.faults,
+                    simulator.structure.sites(simulator.faults),
                 )
                 if site is not None
             ]

@@ -26,8 +26,7 @@ import random
 import pytest
 
 from repro.circuits import random_combinational
-from repro.faultsim import expand_branches, fault_site_net
-from repro.faults import collapse_faults
+from repro.faultsim.expand import netlist_structure
 from repro.sim import FaultInjector, PackedPatternSet
 from repro.sim.wide import (
     LANE_BACKENDS,
@@ -100,13 +99,12 @@ def check_tail_mask(seed):
     count = rng.choice([1, 3, 63, 64, 65, 100, 127, 129])
     patterns = _random_patterns(circuit, count, rng)
     packed = PackedPatternSet.from_patterns(circuit.inputs, patterns)
-    expanded, branch_map = expand_branches(circuit)
-    faults = collapse_faults(circuit)
+    structure = netlist_structure(circuit)
+    faults = structure.collapsed(circuit)
     for backend in BACKENDS:
-        injector = WideInjector(expanded, packed, backend=backend)
+        injector = WideInjector(structure.expanded, packed, backend=backend)
         targets = []
-        for fault in faults:
-            site = injector.site_index(fault_site_net(fault, branch_map))
+        for fault, site in zip(faults, structure.sites(faults)):
             if site is not None:
                 targets.append((site, packed.mask if fault.value else 0))
         for word in injector.grade(targets):
@@ -119,14 +117,13 @@ def check_batched_matches_detect_word(seed):
     circuit = random_combinational(7, 45, seed=seed)
     patterns = _random_patterns(circuit, rng.randint(1, 80), rng)
     packed = PackedPatternSet.from_patterns(circuit.inputs, patterns)
-    expanded, branch_map = expand_branches(circuit)
-    reference = FaultInjector(expanded, packed)
-    faults = collapse_faults(circuit)
+    structure = netlist_structure(circuit)
+    reference = FaultInjector(structure.expanded, packed)
+    faults = structure.collapsed(circuit)
     for backend in BACKENDS:
-        injector = WideInjector(expanded, packed, backend=backend)
+        injector = WideInjector(structure.expanded, packed, backend=backend)
         targets, expected = [], []
-        for fault in faults:
-            site = injector.site_index(fault_site_net(fault, branch_map))
+        for fault, site in zip(faults, structure.sites(faults)):
             if site is None:
                 continue
             forced = packed.mask if fault.value else 0
@@ -143,15 +140,15 @@ def check_backend_equivalence(seed):
     circuit = random_combinational(6, 35, seed=seed)
     patterns = _random_patterns(circuit, rng.randint(1, 70), rng)
     packed = PackedPatternSet.from_patterns(circuit.inputs, patterns)
-    expanded, branch_map = expand_branches(circuit)
-    targets = []
-    probe = WideInjector(expanded, packed, backend=BACKENDS[0])
-    for fault in collapse_faults(circuit):
-        site = probe.site_index(fault_site_net(fault, branch_map))
-        if site is not None:
-            targets.append((site, packed.mask if fault.value else 0))
+    structure = netlist_structure(circuit)
+    faults = structure.collapsed(circuit)
+    targets = [
+        (site, packed.mask if fault.value else 0)
+        for fault, site in zip(faults, structure.sites(faults))
+        if site is not None
+    ]
     words = {
-        backend: WideInjector(expanded, packed, backend=backend).grade(targets)
+        backend: WideInjector(structure.expanded, packed, backend=backend).grade(targets)
         for backend in BACKENDS
     }
     first = words[BACKENDS[0]]
