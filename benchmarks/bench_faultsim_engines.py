@@ -2,7 +2,7 @@
 
 Measures patterns/second for every combinational engine on the circuits
 the paper argues about (the SN74181 ALU and random logic), and pins
-three guarantees:
+two guarantees:
 
 1. **Agreement** — all engines (serial, deductive, parallel-fault,
    parallel-pattern, wide) report the identical detected-fault set;
@@ -13,12 +13,10 @@ three guarantees:
    list, 1024 patterns, no fault dropping).  Small workloads cannot
    amortize the fixed per-vector-op cost, which is why the gate runs
    the full-scale workload even under ``--quick``.
-3. **Sharded exactness** — sharded multi-process sequential
-   verification of the registered-74181 scan schedule produces the
-   bit-identical coverage report as the single process.  The table
-   prints each worker count's seconds and ratio; no speedup is
-   required, because one lane-batched pass grades every fault of a
-   shard, so shards split a pass instead of dividing per-fault work.
+
+Sharded exactness is pinned by ``tests/test_sharded.py``.  The
+sequential scan verifier is not sharded: it grades every fault as a bit
+lane of one pass per clock, in the calling process.
 
 Measured speedups are additionally checked against the committed
 baseline trajectory ``BENCH_faultsim_engines.json`` at the repo root
@@ -43,26 +41,16 @@ import sys
 from conftest import print_table, run_with_manifest
 
 from repro import bench_trajectory
-from repro.circuits import (
-    alu74181,
-    iscas85_like,
-    random_combinational,
-    registered_alu74181,
-)
+from repro.circuits import alu74181, iscas85_like, random_combinational
 from repro.faults import collapse_faults
 from repro.faultsim import (
     Engine,
     FaultSimulator,
-    SequentialFaultSimulator,
-    ShardedFaultSimulator,
     WideFaultSimulator,
     create_simulator,
 )
-from repro.scan import insert_scan, sample_fault_list, schedule_scan_tests
-from repro.atpg import generate_tests
 
 MIN_WIDE_SPEEDUP = 3.0
-SHARDED_WORKERS = 4
 
 #: The wide-engine gate workload: ISCAS-85 scale, every collapsed
 #: fault, enough patterns that both engines run at steady state.
@@ -277,95 +265,6 @@ def check_baseline(results, update):
         )
 
 
-def measure_sharded_sequential(quick):
-    """Sharded vs single-process sequential verification (74181 workload).
-
-    The workload is the scan flow's verifier on the registered 74181:
-    sequentially fault-simulate the full shift/capture schedule, every
-    fault of a shard in one lane-batched pass per clock.  Every sharded
-    run must be bit-identical to the single-process report.  All printed
-    numbers come from validated run manifests carrying the ``workers``
-    section.
-    """
-    circuit = registered_alu74181()
-    design = insert_scan(circuit)
-    core_tests = generate_tests(
-        circuit.combinational_core(), random_phase=32, seed=74181
-    )
-    schedule = schedule_scan_tests(design, core_tests.patterns)
-    faults = sample_fault_list(
-        collapse_faults(design.circuit), 96 if quick else 192, seed=0
-    )
-
-    def measure(workers):
-        if workers == 1:
-            simulator = SequentialFaultSimulator(design.circuit, faults=faults)
-            runner = lambda: simulator.run(schedule)
-            section = None
-        else:
-            simulator = ShardedFaultSimulator(
-                design.circuit, "sequential", faults=faults, workers=workers
-            )
-            runner = lambda: simulator.run(schedule)
-            section = simulator
-        report, manifest, elapsed = run_with_manifest(
-            "bench.faultsim.sharded",
-            design.circuit.name,
-            "sequential",
-            runner,
-            method="sequential-verify",
-            limits={
-                "workers": workers,
-                "faults": len(faults),
-                "cycles": len(schedule),
-            },
-            stats={"detected": 0},
-        )
-        manifest.stats["detected"] = len(report.first_detection)
-        if section is not None:
-            manifest.workers = section.workers_section()
-        manifest.validate()
-        return report, manifest, elapsed
-
-    reference, _, single_s = measure(1)
-    rows = [
-        (
-            "1 (single process)",
-            len(faults),
-            len(reference.first_detection),
-            f"{single_s:.3f}",
-            "1.0x",
-        )
-    ]
-    speedups = {}
-    for workers in (2, SHARDED_WORKERS) if not quick else (SHARDED_WORKERS,):
-        report, manifest, elapsed = measure(workers)
-        if report != reference:
-            raise SystemExit(
-                f"SHARDED MISMATCH with {workers} workers: merged report "
-                f"differs from the single-process run"
-            )
-        speedups[workers] = single_s / elapsed
-        rows.append(
-            (
-                f"{workers} ({manifest.workers['mode']}, "
-                f"{len(manifest.workers['shards'])} shards)",
-                len(faults),
-                manifest.stats["detected"],
-                f"{elapsed:.3f}",
-                f"{speedups[workers]:.1f}x",
-            )
-        )
-    print_table(
-        f"Sharded sequential verification on {design.circuit.name} "
-        f"({len(faults)} faults, {len(schedule)}-cycle scan schedule)",
-        ["workers", "faults", "detected", "seconds", "speedup"],
-        rows,
-    )
-    print("sharded reports bit-identical to single process: OK")
-    return speedups[SHARDED_WORKERS]
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -404,7 +303,6 @@ def main(argv=None):
         ],
         args.update_baseline,
     )
-    measure_sharded_sequential(args.quick)
     return 0
 
 

@@ -2,7 +2,9 @@
 
 Fault tolerance is only free-standing infrastructure if a *healthy* run
 barely pays for it.  This benchmark measures sharded fault simulation
-three ways on the registered-74181 scan schedule:
+three ways: the compiled parallel-pattern engine grading a seeded block
+of random patterns against every collapsed fault of the ISCAS-85-scale
+``r1908`` (256 patterns under ``--quick``, 2048 otherwise):
 
 1. **unsupervised baseline** — the in-process shard/merge path
    (``workers=1, shards=4``: same shard bookkeeping, no fork, no
@@ -13,9 +15,13 @@ three ways on the registered-74181 scan schedule:
    crashing every worker's first attempt, measuring what healing
    actually costs.
 
+An untimed single-engine run first builds the circuit's cone caches,
+which fork workers inherit, so every variant grades from the same warm
+start; its report is the reference.
+
 Assertions pin behaviour, not absolute timings:
 
-* all three coverage reports are **bit-identical**;
+* all three coverage reports are **bit-identical** to the reference;
 * the chaotic run heals completely (a permanent failure would raise;
   crash and retry counters match the shard count);
 * supervision bookkeeping overhead stays within ``MAX_OVERHEAD`` of the
@@ -37,14 +43,14 @@ import sys
 
 from conftest import print_table, run_with_manifest
 
-from repro.circuits import registered_alu74181
+from repro.atpg import random_patterns
+from repro.circuits import iscas85_like
 from repro.exec import ForkBackend
-from repro.faultsim.sharded import SEQUENTIAL_ENGINE, ShardedFaultSimulator
+from repro.faultsim import ShardedFaultSimulator, create_simulator
 from repro.resilience import ChaosConfig, RetryPolicy, SupervisionPolicy
-from repro.scan import insert_scan, sample_fault_list, schedule_scan_tests
-from repro.atpg import generate_tests
 
 WORKERS = 4
+ENGINE = "parallel_pattern"
 #: A quiet supervised run may cost at most this multiple of the
 #: unsupervised in-process baseline (only gated with enough CPUs).
 MAX_OVERHEAD = 1.5
@@ -59,29 +65,20 @@ def available_cpus():
 
 
 def build_workload(quick):
-    """A scan schedule + sampled fault list for the registered 74181."""
-    circuit = registered_alu74181()
-    design = insert_scan(circuit)
-    core_tests = generate_tests(
-        circuit.combinational_core(), method="podem", random_phase=16, seed=0
-    )
-    schedule = schedule_scan_tests(design, core_tests.patterns)
-    from repro.faults import collapse_faults
-
-    limit = 40 if quick else 160
-    faults = sample_fault_list(collapse_faults(design.circuit), limit, 0)
-    return design.circuit, schedule, faults
+    """``r1908``, a seeded pattern block, and the warm reference report."""
+    circuit = iscas85_like("r1908")
+    patterns = random_patterns(circuit, 256 if quick else 2048, seed=0)
+    reference = create_simulator(circuit, ENGINE).run(patterns)
+    return circuit, patterns, reference
 
 
-def run_variant(circuit, schedule, faults, label, **kwargs):
-    simulator = ShardedFaultSimulator(
-        circuit, SEQUENTIAL_ENGINE, faults=faults, **kwargs
-    )
+def run_variant(circuit, patterns, label, **kwargs):
+    simulator = ShardedFaultSimulator(circuit, ENGINE, **kwargs)
     report, manifest, elapsed = run_with_manifest(
         "bench.resilience_overhead",
         circuit.name,
-        SEQUENTIAL_ENGINE,
-        lambda: simulator.run(schedule),
+        ENGINE,
+        lambda: simulator.run(patterns),
         method=label,
         limits={k: str(v) for k, v in kwargs.items() if k != "chaos"},
     )
@@ -97,20 +94,20 @@ def main(argv=None):
         print("fork unavailable on this platform; nothing to supervise")
         return
 
-    circuit, schedule, faults = build_workload(args.quick)
+    circuit, patterns, reference = build_workload(args.quick)
     supervision = SupervisionPolicy(
         timeout_s=120.0, retry=RetryPolicy(max_retries=2, base_delay_s=0.01)
     )
 
     baseline, _, base_s = run_variant(
-        circuit, schedule, faults, "unsupervised", workers=1, shards=WORKERS
+        circuit, patterns, "unsupervised", workers=1, shards=WORKERS
     )
     quiet, quiet_sim, quiet_s = run_variant(
-        circuit, schedule, faults, "supervised-quiet",
+        circuit, patterns, "supervised-quiet",
         workers=WORKERS, supervision=supervision,
     )
     chaotic, chaos_sim, chaos_s = run_variant(
-        circuit, schedule, faults, "supervised-chaos",
+        circuit, patterns, "supervised-chaos",
         workers=WORKERS, supervision=supervision,
         chaos=ChaosConfig(seed=0, crash_rate=1.0),
     )
@@ -133,13 +130,16 @@ def main(argv=None):
         ),
     ]
     print_table(
-        f"Supervision overhead ({circuit.name}, {len(faults)} faults, "
-        f"{len(schedule)} cycles, {WORKERS} workers)",
+        f"Supervision overhead ({circuit.name}, {ENGINE}, "
+        f"{len(reference.faults)} faults, {len(patterns)} patterns, "
+        f"{WORKERS} workers)",
         ("variant", "seconds", "vs baseline", "crashes", "retries"),
         rows,
     )
 
-    # Exactness: supervision and healed chaos never change the report.
+    # Exactness: sharding, supervision and healed chaos never change
+    # the report.
+    assert baseline == reference, "in-process shards diverged from one engine"
     assert quiet == baseline, "supervised run diverged from baseline"
     assert chaotic == baseline, "chaotic run diverged from baseline"
     # The chaos actually fired and was fully healed.

@@ -107,8 +107,9 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="shard each cell's fault simulation across N processes "
-        "(results are bit-identical to N=1 and share one cache)",
+        help="shard each cell's ATPG fault simulation across N processes; "
+        "scan cells verify in-process (results are bit-identical to N=1 "
+        "and share one cache)",
     )
     run.add_argument(
         "--backend",
@@ -187,8 +188,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         metavar="N",
-        help="fork-shard each cell's fault simulation across N "
-        "processes (default: 1)",
+        help="fork-shard each cell's ATPG fault simulation across N "
+        "processes; scan cells verify in-process (default: 1)",
     )
     serve.add_argument(
         "--lanes",

@@ -3,8 +3,9 @@
 The runner walks a :class:`~repro.campaign.spec.CampaignSpec`'s cell
 grid in deterministic order and pushes every cell through the existing
 flows — ``generate_tests`` for combinational ATPG cells,
-``full_scan_flow`` for scan cells — with ``workers=N`` sharding inside
-each cell.  Each cell is memoized through the content-addressed
+``full_scan_flow`` for scan cells — with ``workers=N`` sharding each
+cell's ATPG fault simulation (a scan cell's sequential verification
+runs in-process).  Each cell is memoized through the content-addressed
 :class:`~repro.store.ResultStore` under its
 :func:`~repro.netlist.hashing.cache_key`, so:
 

@@ -31,12 +31,7 @@ from .sequential import SequentialFaultSimulator
 from .wide import WideFaultSimulator
 from .cmos_open import CmosStuckOpenSimulator
 from .diagnosis import FaultDictionary, DiagnosisResult
-from .sharded import (
-    SEQUENTIAL_ENGINE,
-    ShardedFaultSimulator,
-    shard_faults,
-    sharded_coverage,
-)
+from .sharded import ShardedFaultSimulator, shard_faults, sharded_coverage
 
 
 class Engine(enum.Enum):
@@ -147,7 +142,6 @@ __all__ = [
     "WideFaultSimulator",
     "CmosStuckOpenSimulator",
     "SequentialFaultSimulator",
-    "SEQUENTIAL_ENGINE",
     "ShardedFaultSimulator",
     "shard_faults",
     "sharded_coverage",

@@ -4,11 +4,14 @@ The paper's §II cost model says test generation and fault simulation
 grow roughly with the *square* of gate count — the classic answer is to
 throw parallel hardware at the fault list.  This module splits a
 collapsed fault list into deterministic contiguous shards, runs any
-Engine-API fault simulator (serial, deductive, parallel-fault,
-parallel-pattern) or the sequential scan-flow verifier over each shard
-in a worker process, and folds the per-shard
+combinational :class:`repro.faultsim.Engine` (serial, deductive,
+parallel-fault, parallel-pattern, wide) over each shard in a worker
+process, and folds the per-shard
 :class:`~repro.faultsim.coverage.CoverageReport` objects back together
-with ``merge_reports(axis="faults")``.
+with ``merge_reports(axis="faults")``.  The sequential scan verifier is
+not sharded: it already grades every fault as a bit lane of one pass
+per clock (:mod:`repro.faultsim.sequential`), so a pool could only
+split that pass.
 
 Two properties make the merge *exact* rather than approximate:
 
@@ -59,21 +62,11 @@ from .. import telemetry
 from ..exec.backends import ExecutorBackend, create_backend
 from ..netlist.circuit import Circuit
 from ..faults.stuck_at import Fault
-from ..faults.models import (
-    FaultModel,
-    UnsupportedFaultModelError,
-    plan_fault_model,
-)
+from ..faults.models import FaultModel, plan_fault_model
 from ..resilience import ChaosConfig, SupervisionPolicy
 from .coverage import CoverageReport, merge_reports
 
 Pattern = Mapping[str, int]
-
-#: Engine name for the sequential (scan-schedule) verifier, accepted by
-#: this module alongside the combinational :class:`repro.faultsim.Engine`
-#: names.  It is not part of the combinational Engine enum because its
-#: input is a clock-cycle sequence, not independent patterns.
-SEQUENTIAL_ENGINE = "sequential"
 
 
 def shard_faults(faults: Sequence[Fault], shards: int) -> List[List[Fault]]:
@@ -101,31 +94,6 @@ def shard_faults(faults: Sequence[Fault], shards: int) -> List[List[Fault]]:
     return out
 
 
-def _engine_name(engine: Any) -> str:
-    """Normalize an engine selector (enum, str) to its string name."""
-    from . import Engine
-
-    if isinstance(engine, Engine):
-        return engine.value
-    if engine == SEQUENTIAL_ENGINE:
-        return SEQUENTIAL_ENGINE
-    return Engine(engine).value
-
-
-def _build_simulator(
-    circuit: Circuit,
-    engine: str,
-    faults: Sequence[Fault],
-    engine_kwargs: Dict[str, Any],
-):
-    from . import create_simulator
-    from .sequential import SequentialFaultSimulator
-
-    if engine == SEQUENTIAL_ENGINE:
-        return SequentialFaultSimulator(circuit, faults=faults, **engine_kwargs)
-    return create_simulator(circuit, engine, faults=faults, **engine_kwargs)
-
-
 # ----------------------------------------------------------------------
 # Worker side.  The backend hands ``(_shard_task, state)`` to each
 # worker process once — by fork inheritance under ``fork``, pickled
@@ -139,6 +107,8 @@ def _execute_shard(state: Dict[str, Any], index: int):
     parent alike — a *deterministic* failure that retries and the
     in-process fallback cannot heal, so it reaches the caller.
     """
+    from . import create_simulator
+
     shard = state["shards"][index]
     chaos: Optional[ChaosConfig] = state.get("chaos")
     if chaos is not None:
@@ -151,10 +121,11 @@ def _execute_shard(state: Dict[str, Any], index: int):
             engine=state["engine"],
             circuit=state["circuit"].name,
         ):
-            simulator = _build_simulator(
-                state["circuit"], state["engine"], shard, state["engine_kwargs"]
+            simulator = create_simulator(
+                state["circuit"], state["engine"], faults=shard,
+                **state["engine_kwargs"]
             )
-            report = simulator.run(state["patterns"], **state["run_kwargs"])
+            report = simulator.run(state["patterns"])
     elapsed = time.perf_counter() - start
     return index, report, dict(session.counters), elapsed
 
@@ -189,8 +160,8 @@ class ShardedFaultSimulator:
     fault shards (default: one per worker), ``backend`` (a
     :mod:`repro.exec` backend name/instance, or ``None`` to
     auto-select fork-then-spawn).  ``engine`` accepts every
-    :class:`repro.faultsim.Engine` name and ``"sequential"`` for the
-    scan-schedule verifier.
+    :class:`repro.faultsim.Engine` member or name; every shard is built
+    by ``create_simulator``.
 
     ``run(patterns)`` returns a report bit-identical to the
     single-process engine's; ``detects``/``detected_faults`` (single
@@ -220,18 +191,10 @@ class ShardedFaultSimulator:
         backend: Union[None, str, ExecutorBackend] = None,
         **engine_kwargs: Any,
     ) -> None:
-        self.engine = _engine_name(engine)
-        model = FaultModel.coerce(fault_model)
-        if self.engine == SEQUENTIAL_ENGINE and model is not FaultModel.STUCK_AT:
-            # The scan-schedule verifier replays clock-cycle sequences on
-            # the sequential netlist; the reduction composites are
-            # combinational pattern(-pair) machines, so there is nothing
-            # sound it could grade for the other models.
-            raise UnsupportedFaultModelError(
-                f"the sequential verifier only grades stuck-at faults; "
-                f"got fault model {model.value!r}"
-            )
-        plan = plan_fault_model(circuit, model, faults=faults, collapse=collapse)
+        from . import Engine
+
+        self.engine = Engine(engine).value
+        plan = plan_fault_model(circuit, fault_model, faults=faults, collapse=collapse)
         self.fault_model_plan = plan
         self.circuit = plan.circuit
         self.faults = list(plan.faults)
@@ -263,8 +226,10 @@ class ShardedFaultSimulator:
     # -- in-process delegate -------------------------------------------
     def _local_simulator(self):
         if self._local is None:
-            self._local = _build_simulator(
-                self.circuit, self.engine, self.faults, self.engine_kwargs
+            from . import create_simulator
+
+            self._local = create_simulator(
+                self.circuit, self.engine, faults=self.faults, **self.engine_kwargs
             )
         return self._local
 
@@ -277,7 +242,7 @@ class ShardedFaultSimulator:
         return self._local_simulator().detected_faults(pattern)
 
     # -- sharded execution ---------------------------------------------
-    def run(self, patterns: Sequence[Pattern], **run_kwargs: Any) -> CoverageReport:
+    def run(self, patterns: Sequence[Pattern]) -> CoverageReport:
         """Fault-simulate the pattern set across the supervised pool.
 
         The detected-fault set, first-detection indices, fault order and
@@ -324,7 +289,7 @@ class ShardedFaultSimulator:
             if not shards or (len(shards) == 1 and self.workers <= 1):
                 # Pure single-process path (an empty fault list included:
                 # its report must equal the single-process run's).
-                report = self._local_simulator().run(patterns, **run_kwargs)
+                report = self._local_simulator().run(patterns)
                 self._record_run(mode, 1, [])
                 return report
             state = {
@@ -333,7 +298,6 @@ class ShardedFaultSimulator:
                 "patterns": list(patterns),
                 "shards": shards,
                 "engine_kwargs": self.engine_kwargs,
-                "run_kwargs": dict(run_kwargs),
                 "chaos": self.chaos,
             }
             pooled = (

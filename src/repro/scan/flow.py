@@ -9,16 +9,15 @@ the chip's actual pins (PIs, POs and the three scan pins), proving the
 sequential problem really did reduce to the combinational one.
 
 Sequential verification grades every fault in one lane-batched pass
-per clock (:class:`repro.faultsim.sequential.SequentialFaultSimulator`).
-``full_scan_flow(..., workers=N)`` shards the verified fault list
-across ``N`` worker processes
-(:class:`repro.faultsim.sharded.ShardedFaultSimulator`) with a result
-bit-identical to the single-process pass; on the registered 74181 the
-pool costs more than it saves, so ``workers=1`` is the faster choice.
-``fault_limit`` caps the verified list by a *seeded random sample*
-(never a prefix — fault enumeration order is structural, so a prefix is
-a biased estimator); the sample seed is recorded in the attached run
-manifest.
+per clock (:class:`repro.faultsim.sequential.SequentialFaultSimulator`),
+in the calling process: the parallelism is the bit lanes of that pass,
+so a worker pool would only split it.  ``full_scan_flow(...,
+workers=N)`` shards only the core ATPG's fault-simulation passes
+(:class:`repro.faultsim.sharded.ShardedFaultSimulator`), with a result
+bit-identical to ``workers=1``.  ``fault_limit`` caps the verified
+list by a *seeded random sample* (never a prefix — fault enumeration
+order is structural, so a prefix is a biased estimator); the sample
+seed is recorded in the attached run manifest.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from ..atpg.api import generate_tests, TestGenerationResult
 from ..faults.collapse import collapse_faults  # noqa: F401 (e2ebench tracer)
 from ..faults.models import FaultModel, UnsupportedFaultModelError
 from ..faultsim.expand import netlist_structure
-from ..faultsim.sharded import SEQUENTIAL_ENGINE, ShardedFaultSimulator
+from ..faultsim.sequential import SequentialFaultSimulator
 from ..faultsim.coverage import CoverageReport, sample_fault_list
 from ..economics.overhead import scan_test_data_volume
 from .chain import ScanDesign, ScanTester, insert_scan
@@ -48,8 +47,9 @@ class FullScanResult:
     ``verify=False`` — an unverified run is *not* the same thing as a
     verified run that found nothing, and must never read as one.
     ``manifest`` is the flow's own run manifest
-    (``flow="scan.full_scan_flow"``, with a ``workers`` section when the
-    verification was sharded); the combinational core's ATPG manifest
+    (``flow="scan.full_scan_flow"``, never with a ``workers`` section:
+    verification runs in one process); the combinational core's ATPG
+    manifest, with its own ``workers`` section when it was sharded,
     rides along as :attr:`core_manifest`.
     """
 
@@ -161,14 +161,14 @@ def full_scan_flow(
     :func:`~repro.atpg.api.generate_tests` call.  ``fault_limit`` caps
     the number of faults sequentially verified by a random sample drawn
     with ``sample_seed`` (verification grades every sampled fault in
-    one lane-batched pass per clock; larger designs sample).
-    ``workers > 1`` shards both the core ATPG's fault-simulation passes
-    and the sequential verification across that many processes — the
-    result is bit-identical to ``workers=1``.  ``backend`` selects the
-    :mod:`repro.exec` execution backend for both pools (default
+    one lane-batched pass per clock, in this process; larger designs
+    sample).  ``workers > 1`` shards only the core ATPG's
+    fault-simulation passes across that many processes — the result is
+    bit-identical to ``workers=1``.  ``backend`` selects the
+    :mod:`repro.exec` execution backend for that pool (default
     auto-selects fork where available, else spawn).
 
-    ``supervision``/``chaos`` configure the sharded executors' fault
+    ``supervision``/``chaos`` configure the core ATPG pool's fault
     tolerance (see :mod:`repro.resilience`); a shard that fails
     deterministically raises.
 
@@ -201,7 +201,6 @@ def full_scan_flow(
         )
     design = insert_scan(circuit)
     core = circuit.combinational_core()
-    verifier: Optional[ShardedFaultSimulator] = None
     with telemetry.capture() as session:
         with telemetry.span("scan.full_scan_flow", circuit=circuit.name):
             with telemetry.span("scan.phase.core_atpg"):
@@ -232,20 +231,12 @@ def full_scan_flow(
             coverage: Optional[CoverageReport] = None
             if verify:
                 with telemetry.span("scan.phase.verify"):
-                    # Built before the pool forks, so workers inherit it.
                     faults = netlist_structure(design.circuit).collapsed(design.circuit)
                     faults = sample_fault_list(faults, fault_limit, sample_seed)
                     telemetry.incr("scan.verify.faults", len(faults))
-                    verifier = ShardedFaultSimulator(
-                        design.circuit,
-                        SEQUENTIAL_ENGINE,
-                        faults=faults,
-                        workers=workers,
-                        supervision=supervision,
-                        chaos=chaos,
-                        backend=backend,
-                    )
-                    coverage = verifier.run(schedule)
+                    coverage = SequentialFaultSimulator(
+                        design.circuit, faults=faults
+                    ).run(schedule)
 
     engine_name = getattr(engine, "value", engine)
     manifest = telemetry.RunManifest(
@@ -279,7 +270,6 @@ def full_scan_flow(
             ),
             "scan_coverage": coverage.coverage if coverage is not None else None,
         },
-        workers=verifier.workers_section() if verifier is not None else None,
         fault_model=(
             core_tests.fault_model_plan.section()
             if core_tests.fault_model_plan is not None

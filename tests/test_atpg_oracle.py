@@ -10,11 +10,15 @@ reader's pin.
   every completion of its don't-cares.
 * Completeness: every fault either generator declares redundant has no
   detecting vector at all.
+* Shipped results: after fill, compaction and repair, the patterns
+  ``generate_tests`` returns detect exactly the faults its report
+  claims, at the claimed first pattern, and no fault it reports
+  redundant has a detecting vector.
 """
 
 import pytest
 
-from repro.atpg import DAlgorithm, PodemGenerator
+from repro.atpg import DAlgorithm, PodemGenerator, generate_tests
 from repro.circuits import (
     alu74181,
     c17,
@@ -24,7 +28,7 @@ from repro.circuits import (
 )
 from repro.faults import all_faults, collapse_faults
 
-from oracle import CombinationalOracle
+from oracle import CombinationalOracle, first_detections
 
 
 def test_oracle_matches_hand_truth_table():
@@ -59,11 +63,11 @@ def _check_against_oracle(circuit, faults, generator=PodemGenerator):
     return redundant
 
 
-ZOO = pytest.mark.parametrize(
-    "factory",
-    [c17, alu74181, lambda: carry_lookahead_adder(4), lambda: parity_tree(8)],
-    ids=["c17", "alu74181", "cla4", "parity8"],
-)
+ZOO_FACTORIES = [
+    c17, alu74181, lambda: carry_lookahead_adder(4), lambda: parity_tree(8)
+]
+ZOO_IDS = ["c17", "alu74181", "cla4", "parity8"]
+ZOO = pytest.mark.parametrize("factory", ZOO_FACTORIES, ids=ZOO_IDS)
 
 
 @ZOO
@@ -95,3 +99,28 @@ def test_dalg_sound_and_complete_on_random_logic():
     circuit = random_combinational(10, 80, seed=0)
     faults = collapse_faults(circuit)
     assert _check_against_oracle(circuit, faults, DAlgorithm) == 69
+
+
+@pytest.mark.parametrize("method", ["podem", "dalg"])
+@pytest.mark.parametrize(
+    "factory",
+    ZOO_FACTORIES + [lambda: random_combinational(10, 80, seed=0)],
+    ids=ZOO_IDS + ["random_seed0"],
+)
+def test_generate_tests_results_match_oracle(factory, method):
+    """Fill, compaction and repair keep the report true to the shipped
+    patterns; on seed 0 the redundancy proofs are checked too."""
+    circuit = factory()
+    result = generate_tests(circuit, method=method)
+    for pattern in result.patterns:
+        assert set(pattern) == set(circuit.inputs)
+    shipped = CombinationalOracle(circuit, result.patterns)
+    expected = first_detections(
+        {fault: shipped.detecting_vectors(fault) for fault in result.report.faults}
+    )
+    assert result.report.first_detection == expected
+    exhaustive = CombinationalOracle(circuit)
+    for fault in result.redundant:
+        assert exhaustive.detecting_vectors(fault) == 0, (
+            f"{fault}: reported redundant but detectable"
+        )

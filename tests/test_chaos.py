@@ -2,7 +2,8 @@
 
 The acceptance contract for the resilience layer: with transient chaos
 injected — worker crashes, hangs, raised exceptions, store-artifact
-corruption — ``sharded_coverage`` and ``campaign run`` produce results
+corruption — ``sharded_coverage``, ``generate_tests``,
+``full_scan_flow`` and ``campaign run`` produce results
 **bit-identical** to the fault-free run, and every retry, fallback and
 quarantined cell is visible in telemetry counters and the manifest's
 validated ``failures`` section.  Only *deterministic* failures
@@ -18,11 +19,12 @@ import pytest
 from repro import telemetry
 from repro.atpg import generate_tests
 from repro.campaign import CampaignRunner, CampaignSpec
-from repro.circuits import c17
+from repro.circuits import c17, registered_alu74181
 from repro.faults import collapse_faults
 from repro.faultsim import sharded_coverage
 from repro.exec import ForkBackend
 from repro.faultsim.sharded import ShardedFaultSimulator
+from repro.scan import full_scan_flow
 from repro.resilience import (
     ChaosConfig,
     ChaosError,
@@ -248,6 +250,33 @@ class TestAtpgFlowUnderChaos:
             + supervision["exceptions"]
             + supervision["retries"]
         ) > 0
+
+
+@fork_only
+class TestScanFlowUnderChaos:
+    def test_full_scan_flow_bit_identical_and_crashes_healed(self):
+        """Only the core ATPG's pool can crash; the verifier is in-process."""
+        clean = full_scan_flow(registered_alu74181(), seed=1)
+        chaotic = full_scan_flow(
+            registered_alu74181(),
+            seed=1,
+            workers=2,
+            supervision=fast_supervision(),
+            chaos=ChaosConfig(seed=0, crash_rate=1.0),
+        )
+        assert chaotic.scan_coverage == clean.scan_coverage
+        assert chaotic.core_tests.patterns == clean.core_tests.patterns
+        assert chaotic.schedule == clean.schedule
+        assert chaotic.manifest.stats == clean.manifest.stats
+        assert chaotic.manifest.workers is None
+        core = chaotic.core_manifest.to_dict()
+        validate_manifest(core)
+        assert "failures" not in core  # everything healed
+        supervision = core["workers"]["supervision"]
+        assert supervision["crashes"] > 0
+        assert supervision["retries"] == supervision["crashes"]
+        assert supervision["fallbacks"] == 0
+        assert core["counters"]["resilience.worker_crash"] == supervision["crashes"]
 
 
 class TestCampaignUnderChaos:

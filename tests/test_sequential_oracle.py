@@ -6,7 +6,8 @@ fault at its stem or reader pin, flip-flop data pins included.  It
 shares no code with :class:`SequentialFaultSimulator`, which expands
 fanout branches and runs every faulty machine in its own bit lane of a
 two-rail compiled pass.  Both must report the same first detecting
-cycle for every fault, and so must the sharded verifier.
+cycle for every fault, and the simulator must report it whichever
+other faults share the pass.
 """
 
 import hashlib
@@ -18,10 +19,16 @@ from repro.circuits import (
     binary_counter,
     random_sequential,
     registered_alu74181,
+    sequence_detector,
     shift_register,
 )
 from repro.faults import Fault, all_faults, collapse_faults
-from repro.faultsim import SequentialFaultSimulator, ShardedFaultSimulator
+from repro.faultsim import (
+    SequentialFaultSimulator,
+    merge_reports,
+    sample_fault_list,
+    shard_faults,
+)
 from repro.netlist import Circuit
 from repro.netlist.values import X as SIM_X
 from repro.scan import full_scan_flow, insert_scan, schedule_scan_tests
@@ -104,13 +111,61 @@ def test_sequential_simulator_matches_oracle(name):
     assert report.first_detection == expected
 
 
-@pytest.mark.parametrize("name", list(CASES))
-def test_sharded_sequential_matches_oracle(name):
-    circuit, faults, sequence, expected = _expected(name)
-    sharded = ShardedFaultSimulator(
-        circuit, "sequential", faults=faults, workers=2, shards=3
-    )
-    assert sharded.run(sequence).first_detection == expected
+def _flow_alu():
+    flow = full_scan_flow(registered_alu74181(), seed=1)
+    circuit, faults = flow.design.circuit, flow.scan_coverage.faults
+    assert (len(faults), len(flow.schedule)) == (316, 481)
+    return circuit, faults, flow.schedule, flow.scan_coverage
+
+
+def _scanned(circuit, patterns):
+    design = insert_scan(circuit)
+    schedule = schedule_scan_tests(design, patterns)
+    return design.circuit, collapse_faults(design.circuit), schedule, None
+
+
+#: Scan schedules for the pass-sharing check: the schedule the scan flow
+#: verifies on the registered 74181 (with the flow's own report), and
+#: two small machines under scan.
+SHARING_CASES = {
+    "registered_alu74181_flow": _flow_alu,
+    "sequence_detector": lambda: _scanned(
+        sequence_detector(), [{"X": 1}, {"X": 0, "Q0": 1}, {"Q1": 1}]
+    ),
+    "binary_counter3": lambda: _scanned(binary_counter(3), [{"EN": 1}]),
+}
+
+
+@pytest.mark.parametrize("name", list(SHARING_CASES))
+def test_first_detection_independent_of_pass_mates(name):
+    """Each fault's first detecting cycle is the same whichever faults
+    share its pass: contiguous slices, the reversed list, a 32-fault
+    sample (as ``e2ebench`` replays one) and 0- and 1-fault lists all
+    agree with the full collapsed list, fault for fault and in order."""
+    circuit, faults, schedule, flow_report = SHARING_CASES[name]()
+    full = SequentialFaultSimulator(circuit, faults=faults).run(schedule)
+    assert full.first_detection
+    if flow_report is not None:
+        assert full == flow_report
+    slices = shard_faults(faults, 3)
+    subsets = slices + [
+        faults[::-1],
+        sample_fault_list(faults, 32, seed=1),
+        faults[:0],
+        faults[:1],
+    ]
+    reports = []
+    for subset in subsets:
+        report = SequentialFaultSimulator(circuit, faults=subset).run(schedule)
+        expected = [
+            (fault, full.first_detection[fault])
+            for fault in subset
+            if fault in full.first_detection
+        ]
+        assert report.faults == subset
+        assert list(report.first_detection.items()) == expected
+        reports.append(report)
+    assert merge_reports(reports[: len(slices)], axis="faults") == full
 
 
 def _vectors_with_x(nets, count, seed):
